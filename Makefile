@@ -197,10 +197,11 @@ prove-smoke:
 	grep -q 'confirmed by replay' /tmp/hp4prove-ci.out
 	@echo prove smoke ok
 
-# Full serial-vs-parallel measurement; writes BENCH_throughput.json. The
-# -faults row measures the armed-but-idle fault-injection hooks, which must
-# sit within noise of the plain hp4 row.
+# Full throughput measurement; writes BENCH_throughput.json. Serial Process
+# rows per function and mode (the hp4-ctl and hp4-hooks rows must sit within
+# noise of plain hp4, fused within budget of native), then the fused
+# l2_switch end to end through the packet I/O runtime at 1 and N workers.
 throughput:
-	$(GO) run ./cmd/hp4bench -parallel -faults
+	$(GO) run ./cmd/hp4bench -only throughput
 
 ci: vet build analyze race lookup-race fuse-diff chaos-race chaos-smoke fuzz-smoke lint-smoke prove-smoke metrics-smoke api-smoke io-smoke crash-smoke chaos-io-race bench-smoke throughput

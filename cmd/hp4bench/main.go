@@ -7,6 +7,7 @@
 //	hp4bench -all            # everything, Table 5 at paper-like sizing
 //	hp4bench -only table1    # one experiment: table1 table2 table3 table4
 //	                         # table5 figure7 figure8 space passes rmt
+//	                         # ablations throughput
 package main
 
 import (
@@ -24,11 +25,8 @@ func main() {
 	runs := flag.Int("runs", 10, "Table 5 repetitions")
 	pings := flag.Int("pings", 1000, "Table 5 ping count")
 	mbytes := flag.Int64("mbytes", 2, "Table 5 iperf megabytes per run")
-	parallel := flag.Bool("parallel", false, "run the batched-throughput experiment (serial vs ProcessBatch pkts/sec)")
 	throughputPkts := flag.Int("throughput-pkts", 4096, "packets per throughput measurement")
 	throughputJSON := flag.String("throughput-json", "BENCH_throughput.json", "write throughput results to this JSON file (empty = stdout only)")
-	faults := flag.Bool("faults", false, "add an hp4-hooks throughput row (armed-but-idle fault injector) and assert it sits within noise of plain hp4")
-	modes := flag.String("modes", "", "comma-separated throughput mode filter (native,hp4,hp4-fused,hp4-ctl,hp4-hooks); empty = all")
 	flag.Parse()
 
 	experiments := []struct {
@@ -53,14 +51,12 @@ func main() {
 			})
 		}},
 	}
-	if *parallel || *only == "throughput" {
-		if err := throughput(*throughputPkts, *throughputJSON, *faults, *modes); err != nil {
+	if *only == "throughput" {
+		if err := throughput(*throughputPkts, *throughputJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "hp4bench throughput: %v\n", err)
 			os.Exit(1)
 		}
-		if *only == "throughput" || *parallel {
-			return
-		}
+		return
 	}
 	ran := false
 	for _, e := range experiments {

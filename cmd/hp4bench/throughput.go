@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"hyper4/internal/bench"
@@ -14,31 +13,10 @@ import (
 
 // printRow prints one throughput measurement line.
 func printRow(res bench.ThroughputResult) {
-	fmt.Printf("%-12s %-9s %14.0f %14.0f %8.2fx %12.1f %9v %9v %9v %9v\n",
-		res.Function, res.Mode, res.SerialPPS, res.BatchPPS, res.Speedup, res.SerialAlloc,
+	fmt.Printf("%-12s %-15s %14.0f %12.1f %9v %9v %9v %9v\n",
+		res.Function, res.Mode, res.SerialPPS, res.SerialAlloc,
 		time.Duration(res.P50Ns), time.Duration(res.P90Ns),
 		time.Duration(res.P99Ns), time.Duration(res.P999Ns))
-}
-
-// modeFilter parses the -modes flag into a predicate over mode labels.
-// Empty selects everything.
-func modeFilter(modes string) (func(bench.Mode) bool, error) {
-	if modes == "" {
-		return func(bench.Mode) bool { return true }, nil
-	}
-	known := map[string]bool{}
-	for _, m := range []bench.Mode{bench.Native, bench.HyPer4, bench.HyPer4Fused, bench.HyPer4Ctl, bench.HyPer4Hooks} {
-		known[m.String()] = true
-	}
-	want := map[string]bool{}
-	for _, tok := range strings.Split(modes, ",") {
-		tok = strings.TrimSpace(tok)
-		if !known[tok] {
-			return nil, fmt.Errorf("unknown mode %q in -modes (known: native, hp4, hp4-fused, hp4-ctl, hp4-hooks)", tok)
-		}
-		want[tok] = true
-	}
-	return func(m bench.Mode) bool { return want[m.String()] }, nil
 }
 
 // previousAllocs loads the allocs-per-packet column of an earlier run's JSON
@@ -60,22 +38,16 @@ func previousAllocs(jsonPath string) map[string]float64 {
 	return out
 }
 
-// throughput runs the serial-vs-parallel packet throughput experiment and
-// optionally writes the measurements to a JSON file. With faults, an extra
-// hp4-hooks row measures the armed-but-idle fault-injection hooks. modes
-// optionally restricts which rows run ("native,hp4-fused").
-func throughput(pkts int, jsonPath string, faults bool, modes string) error {
-	sel, err := modeFilter(modes)
-	if err != nil {
-		return err
-	}
+// throughput runs the packet throughput experiment — serial Process per
+// function and mode, then the fused l2_switch end to end through the packet
+// I/O runtime — checks the cross-row budgets, and optionally writes the
+// measurements to a JSON file.
+func throughput(pkts int, jsonPath string) error {
 	prevAllocs := previousAllocs(jsonPath)
 
-	fmt.Printf("Throughput: serial Process vs ProcessBatch (%d packets, GOMAXPROCS=%d)\n",
-		pkts, runtime.GOMAXPROCS(0))
-	fmt.Printf("%-12s %-9s %14s %14s %9s %12s %9s %9s %9s %9s\n",
-		"program", "mode", "serial pkt/s", "batch pkt/s", "speedup", "allocs/pkt",
-		"p50", "p90", "p99", "p99.9")
+	fmt.Printf("Throughput (%d packets, GOMAXPROCS=%d)\n", pkts, runtime.GOMAXPROCS(0))
+	fmt.Printf("%-12s %-15s %14s %12s %9s %9s %9s %9s\n",
+		"program", "mode", "pkt/s", "allocs/pkt", "p50", "p90", "p99", "p99.9")
 	var results []bench.ThroughputResult
 	byKey := map[string]bench.ThroughputResult{}
 	record := func(res bench.ThroughputResult) {
@@ -89,9 +61,6 @@ func throughput(pkts int, jsonPath string, faults bool, modes string) error {
 	}
 	for _, fn := range bench.ThroughputFunctions() {
 		for _, mode := range []bench.Mode{bench.Native, bench.HyPer4, bench.HyPer4Fused} {
-			if !sel(mode) {
-				continue
-			}
 			res, err := bench.Throughput(fn, mode, pkts)
 			if err != nil {
 				return err
@@ -99,48 +68,31 @@ func throughput(pkts int, jsonPath string, faults bool, modes string) error {
 			record(res)
 		}
 	}
-	// One extra row: the l2_switch emulation configured through the typed
-	// control-plane API (one atomic WriteBatch) instead of direct installer
-	// calls. The management path must not change the data path, so its
-	// serial cost has to sit within noise of the plain hp4 row; the bound
-	// is generous because single-CPU CI runners jitter heavily.
-	if sel(bench.HyPer4Ctl) {
-		res, err := bench.Throughput(functions.L2Switch, bench.HyPer4Ctl, pkts)
+	// Two extra l2_switch rows, each of which must sit within noise of the
+	// plain hp4 row (the bound is generous because single-CPU CI runners
+	// jitter heavily):
+	//   - hp4-ctl: the emulation configured through the typed control-plane
+	//     API (one atomic WriteBatch) instead of direct installer calls. The
+	//     management path must not change the data path.
+	//   - hp4-hooks: the emulation with a fault injector armed but injecting
+	//     nothing, measuring the hooks themselves. The default (no injector)
+	//     costs a single nil check.
+	hp4 := byKey[functions.L2Switch+"/hp4"]
+	for _, c := range []struct {
+		mode  bench.Mode
+		label string
+	}{{bench.HyPer4Ctl, "ctl-configured"}, {bench.HyPer4Hooks, "fault-hook"}} {
+		res, err := bench.Throughput(functions.L2Switch, c.mode, pkts)
 		if err != nil {
 			return err
 		}
 		record(res)
-	}
-	// With -faults, one more row: the same emulation with a fault injector
-	// armed but injecting nothing, measuring the hooks themselves. The
-	// default (no injector) costs a single nil check, and even the armed
-	// hooks must sit within noise of the plain hp4 row.
-	if faults && sel(bench.HyPer4Hooks) {
-		res, err := bench.Throughput(functions.L2Switch, bench.HyPer4Hooks, pkts)
-		if err != nil {
-			return err
+		ratio := res.SerialNsOp / hp4.SerialNsOp
+		if ratio > 2.5 || ratio < 0.4 {
+			return fmt.Errorf("%s l2_switch serial cost %.0f ns/pkt vs %.0f ns/pkt plain hp4 (ratio %.2f, want within [0.4, 2.5])",
+				c.label, res.SerialNsOp, hp4.SerialNsOp, ratio)
 		}
-		record(res)
-	}
-
-	// Cross-row assertions, each active only when both of its rows ran.
-	if hp4, ok := byKey[functions.L2Switch+"/hp4"]; ok {
-		if ctlRow, ok := byKey[functions.L2Switch+"/hp4-ctl"]; ok {
-			ratio := ctlRow.SerialNsOp / hp4.SerialNsOp
-			if ratio > 2.5 || ratio < 0.4 {
-				return fmt.Errorf("ctl-configured l2_switch serial cost %.0f ns/pkt vs %.0f ns/pkt plain hp4 (ratio %.2f, want within [0.4, 2.5])",
-					ctlRow.SerialNsOp, hp4.SerialNsOp, ratio)
-			}
-			fmt.Printf("ctl-configured l2_switch within noise of hp4 baseline (ratio %.2f)\n", ratio)
-		}
-		if hooksRow, ok := byKey[functions.L2Switch+"/hp4-hooks"]; ok {
-			ratio := hooksRow.SerialNsOp / hp4.SerialNsOp
-			if ratio > 2.5 || ratio < 0.4 {
-				return fmt.Errorf("fault-hook l2_switch serial cost %.0f ns/pkt vs %.0f ns/pkt plain hp4 (ratio %.2f, want within [0.4, 2.5])",
-					hooksRow.SerialNsOp, hp4.SerialNsOp, ratio)
-			}
-			fmt.Printf("armed fault hooks within noise of hp4 baseline (ratio %.2f)\n", ratio)
-		}
+		fmt.Printf("%s l2_switch within noise of hp4 baseline (ratio %.2f)\n", c.label, ratio)
 	}
 	// The fused fast path is the emulation-tax killer (DESIGN.md §13): its
 	// serial cost must land within 5x native for single functions and
@@ -148,55 +100,42 @@ func throughput(pkts int, jsonPath string, faults bool, modes string) error {
 	// pipeline doing the work of three), and its steady state must not
 	// allocate per match-action stage like the interpreter does.
 	for _, fn := range bench.ThroughputFunctions() {
-		fused, ok := byKey[fn+"/hp4-fused"]
-		if !ok {
-			continue
-		}
+		fused, native := byKey[fn+"/hp4-fused"], byKey[fn+"/native"]
 		budget := 5.0
 		if fn == functions.Composed {
 			budget = 8.0
 		}
-		if native, ok := byKey[fn+"/native"]; ok {
-			ratio := fused.SerialNsOp / native.SerialNsOp
-			if ratio > budget {
-				return fmt.Errorf("fused %s serial cost %.0f ns/pkt vs %.0f ns/pkt native (ratio %.2f, want <= %.0fx)",
-					fn, fused.SerialNsOp, native.SerialNsOp, ratio, budget)
-			}
-			fmt.Printf("fused %s at %.2fx native serial cost (budget: %.0fx)\n", fn, ratio, budget)
+		ratio := fused.SerialNsOp / native.SerialNsOp
+		if ratio > budget {
+			return fmt.Errorf("fused %s serial cost %.0f ns/pkt vs %.0f ns/pkt native (ratio %.2f, want <= %.0fx)",
+				fn, fused.SerialNsOp, native.SerialNsOp, ratio, budget)
 		}
+		fmt.Printf("fused %s at %.2fx native serial cost (budget: %.0fx)\n", fn, ratio, budget)
 		if (fn == functions.L2Switch || fn == functions.Composed) && fused.SerialAlloc >= 50 {
 			return fmt.Errorf("fused %s allocates %.1f/pkt, want < 50", fn, fused.SerialAlloc)
 		}
 	}
-	// Serving-traffic rows: the fused l2_switch measured end-to-end through
-	// the packet I/O runtime (RX loop, per-worker rings, worker sweeps, TX
-	// loop) over in-process transports, at one worker and at full fan-out.
-	// On a single-CPU runner both land on one core, so the pair is a scaling
-	// probe for real hardware rather than an assertion here.
-	if sel(bench.HyPer4Fused) {
-		nWorkers := runtime.GOMAXPROCS(0)
-		if nWorkers < 2 {
-			nWorkers = 2
-		}
-		w1, err := bench.RuntimeThroughput(functions.L2Switch, bench.HyPer4Fused, 1, pkts)
-		if err != nil {
-			return err
-		}
-		w1.Speedup = 1
-		record(w1)
-		wn, err := bench.RuntimeThroughput(functions.L2Switch, bench.HyPer4Fused, nWorkers, pkts)
-		if err != nil {
-			return err
-		}
-		if w1.SerialPPS > 0 {
-			wn.Speedup = wn.SerialPPS / w1.SerialPPS
-		}
-		record(wn)
-		fmt.Printf("io runtime end-to-end: %.0f pkt/s at 1 worker, %.0f pkt/s at %d workers\n",
-			w1.SerialPPS, wn.SerialPPS, nWorkers)
+	// Serving-traffic rows, the parallel throughput numbers: the fused
+	// l2_switch measured end-to-end through the packet I/O runtime (RX
+	// loops, per-worker rings, worker sweeps, TX loops) over in-process
+	// transports, with traffic entering on two ports, at one worker and at
+	// full fan-out. On a single-CPU runner both land on one core, so the
+	// pair is a scaling probe for real hardware rather than an assertion.
+	nWorkers := max(runtime.GOMAXPROCS(0), 2)
+	w1, err := bench.RuntimeThroughput(functions.L2Switch, bench.HyPer4Fused, 1, pkts)
+	if err != nil {
+		return err
 	}
+	record(w1)
+	wn, err := bench.RuntimeThroughput(functions.L2Switch, bench.HyPer4Fused, nWorkers, pkts)
+	if err != nil {
+		return err
+	}
+	record(wn)
+	fmt.Printf("io runtime end-to-end: %.0f pkt/s at 1 worker, %.0f pkt/s at %d workers (%.2fx)\n",
+		w1.SerialPPS, wn.SerialPPS, nWorkers, wn.SerialPPS/w1.SerialPPS)
 	if runtime.GOMAXPROCS(0) == 1 {
-		fmt.Println("note: single-CPU runner; batched speedup requires multiple cores")
+		fmt.Println("note: single-CPU runner; worker scaling requires multiple cores")
 	}
 	if jsonPath == "" {
 		return nil

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	"hyper4/internal/breaker"
 	"hyper4/internal/core/dpmu"
 	pktio "hyper4/internal/runtime"
 	"hyper4/internal/sim"
@@ -234,7 +235,7 @@ func writeIOMetrics(w io.Writer, m pktio.Metrics) {
 func writePortHealthMetrics(w io.Writer, phs []pktio.PortHealth) {
 	fmt.Fprintf(w, "# HELP hyper4_port_health Port circuit-breaker state (0 healthy, 1 degraded, 2 probing, 3 quarantined).\n# TYPE hyper4_port_health gauge\n")
 	for _, p := range phs {
-		fmt.Fprintf(w, "hyper4_port_health{port=\"%d\"} %d\n", p.Port, portHealthValue(p.State))
+		fmt.Fprintf(w, "hyper4_port_health{port=\"%d\"} %d\n", p.Port, healthValue(p.State))
 	}
 	fmt.Fprintf(w, "# HELP hyper4_port_health_trips_total Port circuit-breaker trips.\n# TYPE hyper4_port_health_trips_total counter\n")
 	for _, p := range phs {
@@ -252,28 +253,15 @@ func writePortHealthMetrics(w io.Writer, phs []pktio.PortHealth) {
 	}
 }
 
-// portHealthValue mirrors healthValue for the port breaker states.
-func portHealthValue(s pktio.HealthState) int {
-	switch s {
-	case pktio.PortDegraded:
-		return 1
-	case pktio.PortProbing:
-		return 2
-	case pktio.PortQuarantined:
-		return 3
-	}
-	return 0
-}
-
 // healthValue encodes a breaker state for the hyper4_vdev_health gauge,
 // ordered by severity so alerts can threshold on it.
-func healthValue(s dpmu.HealthState) int {
+func healthValue(s breaker.State) int {
 	switch s {
-	case dpmu.Degraded:
+	case breaker.Degraded:
 		return 1
-	case dpmu.Probing:
+	case breaker.Probing:
 		return 2
-	case dpmu.Quarantined:
+	case breaker.Quarantined:
 		return 3
 	}
 	return 0

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"hyper4/internal/functions"
@@ -9,8 +10,8 @@ import (
 )
 
 // TestBatchSerialEquivalence drives every function's workload through both
-// the serial Process path and the batched parallel path, in Native and
-// HyPer4 modes, and requires byte-identical per-packet outputs. This is the
+// a serial Process loop and one goroutine per packet, in Native and HyPer4
+// modes, and requires byte-identical per-packet outputs. This is the
 // contract the concurrency rework must preserve: parallelism may reorder
 // cross-packet extern updates, but each packet's forwarding behavior is
 // deterministic.
@@ -35,7 +36,7 @@ func TestBatchSerialEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				// Interleave the workload packets into a batch large enough
-				// to occupy every worker.
+				// to keep several goroutines in Process at once.
 				inputs := make([]sim.Input, 48)
 				for i := range inputs {
 					inputs[i] = sim.Input{Data: bl.pkts[i%len(bl.pkts)], Port: 1}
@@ -47,10 +48,16 @@ func TestBatchSerialEquivalence(t *testing.T) {
 						t.Fatalf("serial packet %d: %v", i, want[i].Err)
 					}
 				}
-				got, err := sw.ProcessBatch(inputs)
-				if err != nil {
-					t.Fatal(err)
+				got := make([]sim.Result, len(inputs))
+				var wg sync.WaitGroup
+				for i, in := range inputs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						got[i].Outputs, got[i].Trace, got[i].Err = sw.Process(in.Data, in.Port)
+					}()
 				}
+				wg.Wait()
 				for i := range inputs {
 					w, g := want[i], got[i]
 					if g.Err != nil {
@@ -78,13 +85,35 @@ func TestBatchSerialEquivalence(t *testing.T) {
 }
 
 // TestThroughputHelper sanity-checks the measurement helper the benchmark
-// and hp4bench -parallel share.
+// and hp4bench -only throughput share.
 func TestThroughputHelper(t *testing.T) {
 	res, err := Throughput(functions.L2Switch, Native, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Packets < 64 || res.SerialPPS <= 0 || res.BatchPPS <= 0 {
+	if res.Packets < 64 || res.SerialPPS <= 0 {
 		t.Errorf("implausible result: %+v", res)
+	}
+}
+
+// TestMirrorForwardsBack: the runtime rows' port-2 traffic is the mirror of
+// the port-1 workload, and the fused l2_switch must forward it back out of
+// port 1 byte for byte.
+func TestMirrorForwardsBack(t *testing.T) {
+	sw, err := FunctionSwitch(functions.L2Switch, HyPer4Fused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd := WorkloadPackets(functions.L2Switch)[0]
+	back := mirror(fwd)
+	if bytes.Equal(back, fwd) || !bytes.Equal(mirror(back), fwd) {
+		t.Fatalf("mirror is not a proper involution:\n  fwd  %x\n  back %x", fwd, back)
+	}
+	out, _, err := sw.Process(back, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 || out[0].Port != 1 || !bytes.Equal(out[0].Data, back) {
+		t.Fatalf("mirrored frame: outputs %+v", out)
 	}
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -12,9 +13,11 @@ import (
 // I/O runtime — RX loop, per-worker rings, worker sweeps through the switch,
 // TX loop — rather than calling Process directly. Frames enter and leave over
 // in-process channel transports so the number isolates the runtime's own
-// overhead (sharding, ring hops, wakeups) from socket syscalls. workers sets
-// the runtime's worker fan-out; the serial columns of the returned row carry
-// the end-to-end measurement and the batch columns are left zero.
+// overhead (sharding, ring hops, wakeups) from socket syscalls. Traffic runs
+// both ways: the workload's h1→h2 frames enter on port 1 and their mirrored
+// h2→h1 twins on port 2, each from its own sender, so the default per-port
+// shard key spreads them over two workers. workers sets the runtime's worker
+// fan-out.
 func RuntimeThroughput(fn string, mode Mode, workers, minPackets int) (ThroughputResult, error) {
 	sw, err := FunctionSwitch(fn, mode)
 	if err != nil {
@@ -51,13 +54,27 @@ func RuntimeThroughput(fn string, mode Mode, workers, minPackets int) (Throughpu
 		}
 	}()
 
+	back := make([][]byte, len(src))
+	for i, f := range src {
+		back[i] = mirror(f)
+	}
+	// send pushes frames off..off+n-1: even ones h1→h2 into port 1, odd
+	// ones h2→h1 into port 2.
 	send := func(n, off int) error {
-		for i := 0; i < n; i++ {
-			if err := far1.Send(pktio.Frame{Data: src[(off+i)%len(src)]}); err != nil {
-				return err
-			}
+		errs := make(chan error, 2)
+		for dir, far := range []*pktio.ChanTransport{far1, far2} {
+			frames := [][][]byte{src, back}[dir]
+			go func() {
+				for i := dir; i < n; i += 2 {
+					if err := far.Send(pktio.Frame{Data: frames[(off+i)%len(frames)]}); err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- nil
+			}()
 		}
-		return nil
+		return errors.Join(<-errs, <-errs)
 	}
 	waitProcessed := func(n uint64) error {
 		deadline := time.Now().Add(30 * time.Second)
@@ -108,4 +125,21 @@ func RuntimeThroughput(fn string, mode Mode, workers, minPackets int) (Throughpu
 		P99Ns:       lat.Quantile(0.99).Nanoseconds(),
 		P999Ns:      lat.Quantile(0.999).Nanoseconds(),
 	}, nil
+}
+
+// mirror returns the reverse-direction twin of a frame: Ethernet source and
+// destination swapped and, for IPv4, the addresses swapped too. The IPv4
+// and L4 checksums are sums over both addresses, so they stay valid.
+func mirror(frame []byte) []byte {
+	out := append([]byte(nil), frame...)
+	swap := func(a, b, n int) {
+		for i := 0; i < n; i++ {
+			out[a+i], out[b+i] = out[b+i], out[a+i]
+		}
+	}
+	swap(0, 6, 6)
+	if len(out) >= 34 && out[12] == 0x08 && out[13] == 0x00 {
+		swap(26, 30, 4)
+	}
+	return out
 }

@@ -9,17 +9,16 @@ import (
 	"hyper4/internal/sim"
 )
 
-// ThroughputResult is one serial-vs-parallel throughput measurement.
+// ThroughputResult is one throughput measurement. Throughput rows time a
+// serial Process loop; RuntimeThroughput rows time the packet I/O runtime
+// end to end and carry its worker count.
 type ThroughputResult struct {
 	Function    string  `json:"function"`
 	Mode        string  `json:"mode"`
-	Workers     int     `json:"workers"` // GOMAXPROCS during the run
+	Workers     int     `json:"workers"` // GOMAXPROCS, or runtime workers
 	Packets     int     `json:"packets"`
 	SerialNsOp  float64 `json:"serial_ns_per_pkt"`
 	SerialPPS   float64 `json:"serial_pkts_per_sec"`
-	BatchNsOp   float64 `json:"parallel_ns_per_pkt"`
-	BatchPPS    float64 `json:"parallel_pkts_per_sec"`
-	Speedup     float64 `json:"speedup"`
 	SerialAlloc float64 `json:"serial_allocs_per_pkt"`
 	P50Ns       int64   `json:"serial_p50_ns"`
 	P90Ns       int64   `json:"serial_p90_ns"`
@@ -35,9 +34,9 @@ func ThroughputFunctions() []string {
 	return []string{functions.L2Switch, functions.Firewall, functions.Composed}
 }
 
-// Throughput measures serial Process and batched ProcessBatch throughput for
-// one function and mode, driving at least minPackets packets through each
-// path (the function's workload packets, repeated).
+// Throughput measures serial Process throughput for one function and mode,
+// driving at least minPackets packets (the function's workload packets,
+// repeated).
 func Throughput(fn string, mode Mode, minPackets int) (ThroughputResult, error) {
 	sw, err := FunctionSwitch(fn, mode)
 	if err != nil {
@@ -55,7 +54,8 @@ func Throughput(fn string, mode Mode, minPackets int) (ThroughputResult, error) 
 		inputs[i] = sim.Input{Data: src[i%len(src)], Port: 1}
 	}
 	// Warm the state pool and any lazy paths before timing.
-	if _, err := sw.ProcessBatch(inputs[:min(len(inputs), 8)]); err != nil {
+	warm := inputs[:min(len(inputs), 8)]
+	if err := sw.ProcessSeq(warm, make([]sim.Result, len(warm))); err != nil {
 		return ThroughputResult{}, err
 	}
 
@@ -76,34 +76,18 @@ func Throughput(fn string, mode Mode, minPackets int) (ThroughputResult, error) 
 	// to the serial loop via a snapshot delta.
 	lat := sw.Metrics().Latency.Sub(lat0)
 
-	// Collect the serial loop's garbage before timing the batched phase:
-	// without this, the batched run pays the serial loop's deferred GC debt,
-	// which shows up as a phantom sub-1x "speedup" at low worker counts.
-	runtime.GC()
-	start = time.Now()
-	if _, err := sw.ProcessBatch(inputs); err != nil {
-		return ThroughputResult{}, err
-	}
-	batched := time.Since(start)
-
 	n := float64(len(inputs))
-	res := ThroughputResult{
+	return ThroughputResult{
 		Function:    fn,
 		Mode:        mode.String(),
 		Workers:     runtime.GOMAXPROCS(0),
 		Packets:     len(inputs),
 		SerialNsOp:  float64(serial.Nanoseconds()) / n,
 		SerialPPS:   n / serial.Seconds(),
-		BatchNsOp:   float64(batched.Nanoseconds()) / n,
-		BatchPPS:    n / batched.Seconds(),
 		SerialAlloc: serialAllocs,
 		P50Ns:       lat.Quantile(0.50).Nanoseconds(),
 		P90Ns:       lat.Quantile(0.90).Nanoseconds(),
 		P99Ns:       lat.Quantile(0.99).Nanoseconds(),
 		P999Ns:      lat.Quantile(0.999).Nanoseconds(),
-	}
-	if batched > 0 {
-		res.Speedup = serial.Seconds() / batched.Seconds()
-	}
-	return res, nil
+	}, nil
 }

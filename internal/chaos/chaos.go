@@ -2,14 +2,15 @@
 // switch. An Injector implements sim.Injector and decides per call site
 // whether to misbehave: panic inside an action, force a table-lookup miss,
 // tighten the pipeline-pass budget, or sleep. Decisions are derived from a
-// seed hashed with a per-site call counter (splitmix64), so a given spec
-// replays the same fault schedule on every serial run, and under concurrent
-// drivers the *count* of injected faults is still exact — "panic on the
-// first K matching calls" means exactly K panics no matter the
-// interleaving.
+// seed hashed with a per-site call counter (breaker.SplitMix64, the mixer
+// that also jitters the port breaker's backoff), so a given spec replays
+// the same fault schedule on every serial run, and under concurrent drivers
+// the *count* of injected faults is still exact — "panic on the first K
+// matching calls" means exactly K panics no matter the interleaving.
 //
 // The zero Spec injects nothing; attaching such an injector still exercises
-// the hook overhead, which is what hp4bench's -faults flag measures.
+// the hook overhead, which is what hp4bench's hp4-hooks throughput row
+// measures.
 package chaos
 
 import (
@@ -18,6 +19,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"hyper4/internal/breaker"
 )
 
 // Spec configures an Injector. All rates are "every Nth matching call,
@@ -201,23 +204,13 @@ const (
 	siteDelay  = 0x646c6179 // "dlay"
 )
 
-// splitmix64 is the standard 64-bit finalizer; one multiply-xor-shift chain
-// turns (seed, site, call index) into an effectively random draw without any
-// locking or shared rand.Source.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // draw decides whether call number n at the given site fires for rate
 // "every" (≈1/every of calls fire, schedule fixed by the seed).
 func (in *Injector) draw(site, n uint64, every int) bool {
 	if every <= 0 {
 		return false
 	}
-	return splitmix64(uint64(in.spec.Seed)^site^(n*0x9e3779b97f4a7c15))%uint64(every) == 0
+	return breaker.SplitMix64(uint64(in.spec.Seed)^site^(n*0x9e3779b97f4a7c15))%uint64(every) == 0
 }
 
 // attrMatch applies the tenant filter.

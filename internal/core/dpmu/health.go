@@ -2,12 +2,15 @@ package dpmu
 
 // Per-vdev fault containment: the DPMU subscribes to the persona switch's
 // packet faults (sim.SetFaultHook), attributes each fault to the virtual
-// device whose program ID the packet carried, and runs a circuit breaker per
-// device. Too many faults inside a sliding window trip the breaker: the
-// device is quarantined — its passes dropped lock-free by the sim layer, or
-// its position in a composed chain bypassed, per policy — until a half-open
-// probe phase lets a bounded number of packets through; if they complete
-// cleanly the device is restored automatically.
+// device whose program ID the packet carried, and runs a circuit breaker
+// (internal/breaker, shared with the runtime's port breakers) per device.
+// The breaker owns the state walk and the fault window; this file adds what
+// is vdev-specific — the probe budget in the sim quarantine table and the
+// bypass rewiring. Too many faults inside a sliding window trip the
+// breaker: the device is quarantined — its passes dropped lock-free by the
+// sim layer, or its position in a composed chain bypassed, per policy —
+// until a half-open probe phase lets a bounded number of packets through;
+// if they complete cleanly the device is restored automatically.
 //
 // Locking: onFault runs on the packet path while the switch's control-plane
 // read lock is held, so it must never acquire d.mu (management ops hold d.mu
@@ -32,21 +35,8 @@ import (
 	"sync"
 	"time"
 
+	"hyper4/internal/breaker"
 	"hyper4/internal/sim"
-)
-
-// HealthState is a virtual device's breaker state.
-type HealthState string
-
-const (
-	// Healthy: no faults inside the current window.
-	Healthy HealthState = "healthy"
-	// Degraded: faulting, but below the trip threshold.
-	Degraded HealthState = "degraded"
-	// Quarantined: breaker tripped; the device's passes are contained.
-	Quarantined HealthState = "quarantined"
-	// Probing: half-open; a bounded number of probe passes are let through.
-	Probing HealthState = "probing"
 )
 
 // QuarantinePolicy selects what containment does to a quarantined device's
@@ -122,17 +112,17 @@ func (c HealthConfig) sanitize() HealthConfig {
 // VDevHealth is one device's health, as exposed on /v1/health and the
 // hyper4_vdev_health gauge.
 type VDevHealth struct {
-	VDev         string      `json:"vdev"`
-	PID          int         `json:"pid"`
-	State        HealthState `json:"state"`
-	Faults       int64       `json:"faults"`       // lifetime attributed faults
-	Trips        int64       `json:"trips"`        // lifetime breaker trips
-	WindowFaults int         `json:"windowFaults"` // faults inside the current window
-	LastKind     string      `json:"lastFaultKind,omitempty"`
-	LastFault    string      `json:"lastFault,omitempty"`
-	LastFaultAt  time.Time   `json:"lastFaultAt,omitempty"`
-	ProbesLeft   int64       `json:"probesLeft,omitempty"` // remaining half-open budget
-	Bypassed     bool        `json:"bypassed,omitempty"`   // links rewired around the device
+	VDev         string        `json:"vdev"`
+	PID          int           `json:"pid"`
+	State        breaker.State `json:"state"`
+	Faults       int64         `json:"faults"`       // lifetime attributed faults
+	Trips        int64         `json:"trips"`        // lifetime breaker trips
+	WindowFaults int           `json:"windowFaults"` // faults inside the current window
+	LastKind     string        `json:"lastFaultKind,omitempty"`
+	LastFault    string        `json:"lastFault,omitempty"`
+	LastFaultAt  time.Time     `json:"lastFaultAt,omitempty"`
+	ProbesLeft   int64         `json:"probesLeft,omitempty"` // remaining half-open budget
+	Bypassed     bool          `json:"bypassed,omitempty"`   // links rewired around the device
 }
 
 // HealthSnapshot is the full health report.
@@ -143,41 +133,22 @@ type HealthSnapshot struct {
 
 // vdevHealth is the tracker's mutable per-device record.
 type vdevHealth struct {
+	breaker.Breaker
 	name string
 	pid  uint64
 
-	state  HealthState
-	window []time.Time // attributed fault times inside the sliding window
-
 	faults   int64
-	trips    int64
 	lastKind sim.FaultKind
 	lastMsg  string
 	lastAt   time.Time
 
-	trippedAt   time.Time
-	probeStart  time.Time
 	probeBudget int64
 	probeFresh  bool // probe budget not yet pushed into the sim quarantine table
 	bypassed    bool
 }
 
-func (v *vdevHealth) pruneWindow(now time.Time, window time.Duration) {
-	cut := now.Add(-window)
-	i := 0
-	for i < len(v.window) && !v.window[i].After(cut) {
-		i++
-	}
-	if i > 0 {
-		v.window = append(v.window[:0], v.window[i:]...)
-	}
-}
-
-func (v *vdevHealth) trip(now time.Time) {
-	v.state = Quarantined
-	v.trips++
-	v.trippedAt = now
-	v.window = v.window[:0]
+func newVDevHealth(name string, pid uint64) *vdevHealth {
+	return &vdevHealth{Breaker: breaker.Breaker{State: breaker.Healthy}, name: name, pid: pid}
 }
 
 // healthTracker is the DPMU's breaker state, guarded by its own leaf mutex
@@ -190,7 +161,7 @@ type healthTracker struct {
 	byPID  map[uint64]*vdevHealth
 
 	unattributed int64
-	notify       func(vdev string, state HealthState)
+	notify       func(vdev string, state breaker.State)
 }
 
 func (h *healthTracker) init() {
@@ -216,10 +187,10 @@ func (h *healthTracker) sortedLocked() []*vdevHealth {
 func (h *healthTracker) rebuildQuarantineLocked(sw *sim.Switch) {
 	budgets := map[uint64]int64{}
 	for _, v := range h.byName {
-		switch v.state {
-		case Quarantined:
+		switch v.State {
+		case breaker.Quarantined:
 			budgets[v.pid] = 0
-		case Probing:
+		case breaker.Probing:
 			b := v.probeBudget
 			if !v.probeFresh {
 				if rem, ok := sw.QuarantineRemaining(v.pid); ok {
@@ -258,7 +229,7 @@ func (d *DPMU) SetHealthClock(now func() time.Time) {
 // SetHealthNotify installs a callback fired on every breaker transition
 // (degraded/quarantined/probing/healthy). It may be invoked from the packet
 // path and must not call back into the DPMU or the switch control plane.
-func (d *DPMU) SetHealthNotify(fn func(vdev string, state HealthState)) {
+func (d *DPMU) SetHealthNotify(fn func(vdev string, state breaker.State)) {
 	d.health.mu.Lock()
 	d.health.notify = fn
 	d.health.mu.Unlock()
@@ -269,7 +240,7 @@ func (d *DPMU) SetHealthNotify(fn func(vdev string, state HealthState)) {
 func (d *DPMU) registerHealth(name string, pid int) {
 	h := &d.health
 	h.mu.Lock()
-	v := &vdevHealth{name: name, pid: uint64(pid), state: Healthy}
+	v := newVDevHealth(name, uint64(pid))
 	h.byName[name] = v
 	h.byPID[v.pid] = v
 	h.mu.Unlock()
@@ -299,7 +270,7 @@ func (d *DPMU) resyncHealth() {
 		pid := uint64(dev.PID)
 		v := h.byName[name]
 		if v == nil || v.pid != pid {
-			v = &vdevHealth{name: name, pid: pid, state: Healthy}
+			v = newVDevHealth(name, pid)
 		}
 		v.bypassed = false
 		fresh[name] = v
@@ -325,26 +296,9 @@ func (d *DPMU) onFault(f *sim.PacketFault) {
 	now := h.now()
 	v.faults++
 	v.lastKind, v.lastMsg, v.lastAt = f.Kind, f.Msg, now
-	var transition HealthState
-	switch v.state {
-	case Quarantined:
-		// Already contained; nothing more to do.
-	case Probing:
-		// A fault during half-open probing re-trips immediately.
-		v.trip(now)
+	transition := v.Charge(now, h.cfg.Window, h.cfg.TripFaults)
+	if transition == breaker.Quarantined {
 		h.rebuildQuarantineLocked(d.SW)
-		transition = Quarantined
-	default:
-		v.pruneWindow(now, h.cfg.Window)
-		v.window = append(v.window, now)
-		if len(v.window) >= h.cfg.TripFaults {
-			v.trip(now)
-			h.rebuildQuarantineLocked(d.SW)
-			transition = Quarantined
-		} else if v.state != Degraded {
-			v.state = Degraded
-			transition = Degraded
-		}
 	}
 	notify := h.notify
 	name := v.name
@@ -372,7 +326,7 @@ func (d *DPMU) syncHealthLocked() {
 	now := h.now()
 	type event struct {
 		name  string
-		state HealthState
+		state breaker.State
 	}
 	var events []event
 	// Bypass rewiring writes switch tables, which blocks on the switch write
@@ -383,17 +337,14 @@ func (d *DPMU) syncHealthLocked() {
 	var enforce, undo []string
 	rebuild := false
 	for _, v := range h.sortedLocked() {
-		switch v.state {
-		case Degraded:
-			v.pruneWindow(now, h.cfg.Window)
-			if len(v.window) == 0 {
-				v.state = Healthy
-				events = append(events, event{v.name, Healthy})
+		switch v.State {
+		case breaker.Degraded:
+			if v.Settle(now, h.cfg.Window) {
+				events = append(events, event{v.name, breaker.Healthy})
 			}
-		case Quarantined:
-			if now.Sub(v.trippedAt) >= h.cfg.OpenFor {
-				v.state = Probing
-				v.probeStart = now
+		case breaker.Quarantined:
+			if now.Sub(v.TrippedAt) >= h.cfg.OpenFor {
+				v.Probe(now)
 				v.probeBudget = int64(h.cfg.ProbePackets)
 				v.probeFresh = true
 				if v.bypassed {
@@ -403,19 +354,18 @@ func (d *DPMU) syncHealthLocked() {
 					v.bypassed = false
 				}
 				rebuild = true
-				events = append(events, event{v.name, Probing})
+				events = append(events, event{v.name, breaker.Probing})
 			} else if h.cfg.Policy == PolicyBypass && !v.bypassed {
 				enforce = append(enforce, v.name)
 			}
-		case Probing:
+		case breaker.Probing:
 			// A fault during probing re-trips in onFault; here we only
 			// check for a cleanly consumed budget.
 			rem, ok := d.SW.QuarantineRemaining(v.pid)
-			if ok && rem <= 0 && v.lastAt.Before(v.probeStart) {
-				v.state = Healthy
-				v.window = v.window[:0]
+			if ok && rem <= 0 && v.lastAt.Before(v.ProbeStart) {
+				v.Close()
 				rebuild = true
-				events = append(events, event{v.name, Healthy})
+				events = append(events, event{v.name, breaker.Healthy})
 			}
 		}
 	}
@@ -441,7 +391,7 @@ func (d *DPMU) syncHealthLocked() {
 				// d.mu held throughout keeps the state Quarantined (onFault
 				// never leaves Quarantined; every other transition needs
 				// d.mu), so the record is still the one we decided on.
-				if v := h.byName[name]; v != nil && v.state == Quarantined {
+				if v := h.byName[name]; v != nil && v.State == breaker.Quarantined {
 					v.bypassed = true
 				}
 			}
@@ -469,20 +419,21 @@ func (d *DPMU) Health() HealthSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	snap := HealthSnapshot{Unattributed: h.unattributed}
+	now := h.now()
 	for _, v := range h.sortedLocked() {
 		vh := VDevHealth{
 			VDev:         v.name,
 			PID:          int(v.pid),
-			State:        v.state,
+			State:        v.State,
 			Faults:       v.faults,
-			Trips:        v.trips,
-			WindowFaults: len(v.window),
+			Trips:        int64(v.Trips),
+			WindowFaults: v.InWindow(now, h.cfg.Window),
 			LastKind:     string(v.lastKind),
 			LastFault:    v.lastMsg,
 			LastFaultAt:  v.lastAt,
 			Bypassed:     v.bypassed,
 		}
-		if v.state == Probing {
+		if v.State == breaker.Probing {
 			if rem, ok := d.SW.QuarantineRemaining(v.pid); ok {
 				vh.ProbesLeft = max(rem, 0)
 			} else {
@@ -514,8 +465,7 @@ func (d *DPMU) ResetHealth(owner, vdev string) error {
 	}
 	wasBypassed := v.bypassed
 	v.bypassed = false
-	v.state = Healthy
-	v.window = v.window[:0]
+	v.Close()
 	v.probeFresh = false
 	h.rebuildQuarantineLocked(d.SW)
 	notify := h.notify
@@ -526,7 +476,7 @@ func (d *DPMU) ResetHealth(owner, vdev string) error {
 		d.undoBypassLocked(vdev)
 	}
 	if notify != nil {
-		notify(vdev, Healthy)
+		notify(vdev, breaker.Healthy)
 	}
 	return nil
 }

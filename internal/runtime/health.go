@@ -2,8 +2,8 @@ package runtime
 
 // Per-port fault containment: the runtime accounts every transport error
 // (receive errors, send errors, ring stalls detected by a watchdog sampling
-// ring cursors) in a sliding window per port and runs a circuit breaker
-// modeled on the per-vdev one in internal/core/dpmu/health.go:
+// ring cursors) in a sliding window per port and runs the circuit breaker
+// of internal/breaker, the same one the DPMU runs per vdev:
 // healthy → degraded → quarantined → probing → healthy.
 //
 // Wire ports (attached from a textual spec, i.e. rebuildable) are contained
@@ -29,24 +29,8 @@ import (
 	"sort"
 	"sync"
 	"time"
-)
 
-// HealthState is a port breaker state. The states and their meaning match
-// dpmu.HealthState; the types are distinct because the packages must not
-// depend on each other.
-type HealthState string
-
-const (
-	// PortHealthy: no I/O errors inside the current window.
-	PortHealthy HealthState = "healthy"
-	// PortDegraded: erroring, but below the trip threshold.
-	PortDegraded HealthState = "degraded"
-	// PortQuarantined: breaker tripped; a wire port is detached (or being
-	// detached), an in-process port is flagged but left attached.
-	PortQuarantined HealthState = "quarantined"
-	// PortProbing: half-open; a wire port has been reattached and must stay
-	// clean for the probe interval, an in-process port is past its hold-off.
-	PortProbing HealthState = "probing"
+	"hyper4/internal/breaker"
 )
 
 // Error kinds recorded against a port's window.
@@ -152,7 +136,7 @@ type PortHealth struct {
 	// Wire reports a spec-built transport: quarantine detaches and
 	// auto-reattach applies. In-process ports report state only.
 	Wire  bool
-	State HealthState
+	State breaker.State
 	// Detached reports a wire port currently parked by quarantine (its
 	// transport is closed; the port is absent from the active port list).
 	Detached bool
@@ -172,25 +156,20 @@ type PortHealth struct {
 // portHealthRec is one port's mutable breaker record, guarded by
 // ioHealth.mu.
 type portHealthRec struct {
+	breaker.Breaker
 	port int
 	spec string
 	wire bool
 
-	state  HealthState
-	window []time.Time
-
 	recvErrs uint64
 	sendErrs uint64
 	stalls   uint64
-	trips    uint64
 	reatt    uint64
 
 	lastErr   string
 	lastErrAt time.Time
 
-	trippedAt   time.Time
 	nextAttempt time.Time
-	probeStart  time.Time
 	// attempts counts failed recovery cycles since the port was last
 	// healthy; it exponentiates the backoff.
 	attempts int
@@ -244,13 +223,12 @@ func (h *ioHealth) onAttach(portNum int, spec string, wire bool) {
 	h.mu.Lock()
 	rec := h.recs[portNum]
 	if rec == nil {
-		rec = &portHealthRec{port: portNum, state: PortHealthy}
+		rec = &portHealthRec{port: portNum}
 		h.recs[portNum] = rec
 	}
 	rec.spec = spec
 	rec.wire = wire
-	rec.state = PortHealthy
-	rec.window = rec.window[:0]
+	rec.Close()
 	rec.detached = false
 	rec.attempts = 0
 	rec.nextAttempt = time.Time{}
@@ -298,28 +276,7 @@ func (h *ioHealth) noteError(portNum int, kind string, err error) {
 	case errKindStall:
 		rec.stalls++
 	}
-	rec.lastErr = fmt.Sprintf("%s: %v", kind, err)
-	rec.lastErrAt = now
-	rec.pruneWindow(now, h.cfg.Window)
-	rec.window = append(rec.window, now)
-	var note *PortHealth
-	switch rec.state {
-	case PortHealthy, PortDegraded, PortProbing:
-		if len(rec.window) >= h.cfg.TripErrors || rec.state == PortProbing {
-			// Probing is half-open: any error re-trips immediately and
-			// escalates the backoff.
-			if rec.state == PortProbing {
-				rec.attempts++
-			}
-			rec.trip(now, h)
-			note = rec.snapshotLocked(now)
-		} else if rec.state == PortHealthy {
-			rec.state = PortDegraded
-			note = rec.snapshotLocked(now)
-		}
-	case PortQuarantined:
-		// Counted; containment already in force or pending.
-	}
+	note := h.chargeLocked(rec, now, fmt.Sprintf("%s: %v", kind, err))
 	fn := h.notify
 	h.mu.Unlock()
 	if note != nil && fn != nil {
@@ -327,25 +284,25 @@ func (h *ioHealth) noteError(portNum int, kind string, err error) {
 	}
 }
 
-// trip opens the breaker. Caller holds h.mu.
-func (rec *portHealthRec) trip(now time.Time, h *ioHealth) {
-	rec.state = PortQuarantined
-	rec.trips++
-	rec.trippedAt = now
-	rec.probeStart = time.Time{}
-	rec.nextAttempt = now.Add(h.backoff(rec.port, rec.attempts))
-}
-
-// pruneWindow drops window entries older than the sliding window.
-func (rec *portHealthRec) pruneWindow(now time.Time, window time.Duration) {
-	cut := now.Add(-window)
-	i := 0
-	for i < len(rec.window) && !rec.window[i].After(cut) {
-		i++
+// chargeLocked records one error against a port's breaker and returns the
+// port's snapshot if the breaker changed state. A trip schedules the next
+// recovery one backoff cycle out; a trip out of probing is a failed recovery
+// and escalates the backoff first. Caller holds h.mu.
+func (h *ioHealth) chargeLocked(rec *portHealthRec, now time.Time, msg string) *PortHealth {
+	rec.lastErr = msg
+	rec.lastErrAt = now
+	wasProbing := rec.State == breaker.Probing
+	to := rec.Charge(now, h.cfg.Window, h.cfg.TripErrors)
+	if to == "" {
+		return nil
 	}
-	if i > 0 {
-		rec.window = append(rec.window[:0], rec.window[i:]...)
+	if to == breaker.Quarantined {
+		if wasProbing {
+			rec.attempts++
+		}
+		rec.nextAttempt = now.Add(h.backoff(rec.port, rec.attempts))
 	}
+	return h.snapshotLocked(rec, now)
 }
 
 // backoff is the hold time before recovery cycle n: OpenFor·2ⁿ capped at
@@ -361,39 +318,27 @@ func (h *ioHealth) backoff(portNum, attempts int) time.Duration {
 		d = h.cfg.BackoffMax
 	}
 	span := uint64(d/4) + 1
-	j := splitmix64(h.cfg.Seed ^ uint64(portNum)<<32 ^ uint64(attempts)) % span
+	j := breaker.SplitMix64(h.cfg.Seed^uint64(portNum)<<32^uint64(attempts)) % span
 	return d + time.Duration(j)
 }
 
-// splitmix64 is the same avalanche mixer internal/chaos uses for seeded
-// schedules (duplicated here: chaos imports runtime, not the reverse).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // snapshotLocked builds a PortHealth view. Caller holds h.mu.
-func (rec *portHealthRec) snapshotLocked(now time.Time) *PortHealth {
+func (h *ioHealth) snapshotLocked(rec *portHealthRec, now time.Time) *PortHealth {
 	ph := &PortHealth{
 		Port:         rec.port,
 		Spec:         rec.spec,
 		Wire:         rec.wire,
-		State:        rec.state,
+		State:        rec.State,
 		Detached:     rec.detached,
-		WindowErrors: len(rec.window),
+		WindowErrors: rec.InWindow(now, h.cfg.Window),
 		RecvErrors:   rec.recvErrs,
 		SendErrors:   rec.sendErrs,
 		Stalls:       rec.stalls,
-		Trips:        rec.trips,
+		Trips:        rec.Trips,
 		Reattaches:   rec.reatt,
 		LastError:    rec.lastErr,
 	}
-	if rec.state == PortQuarantined && rec.nextAttempt.After(now) {
+	if rec.State == breaker.Quarantined && rec.nextAttempt.After(now) {
 		ph.RetryIn = rec.nextAttempt.Sub(now)
 	}
 	return ph
@@ -408,8 +353,7 @@ func (rt *Runtime) PortHealth() []PortHealth {
 	now := h.now()
 	out := make([]PortHealth, 0, len(h.recs))
 	for _, rec := range h.recs {
-		rec.pruneWindow(now, h.cfg.Window)
-		out = append(out, *rec.snapshotLocked(now))
+		out = append(out, *h.snapshotLocked(rec, now))
 	}
 	h.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Port < out[j].Port })
@@ -442,35 +386,21 @@ func (rt *Runtime) SyncPortHealth() {
 		// Watchdog: sample ring consumer cursors of live ports. A ring that
 		// holds frames while its consumer cursor sits still across
 		// StallAfter consecutive samples is charged as a stall error.
-		if p := pm.active[portNum]; p != nil && rec.state != PortQuarantined {
+		if p := pm.active[portNum]; p != nil && rec.State != breaker.Quarantined {
 			if stalled := rec.sampleRings(p, h.cfg.StallAfter); stalled != "" {
 				rec.stalls++
-				rec.lastErr = "stall: " + stalled
-				rec.lastErrAt = now
-				rec.pruneWindow(now, h.cfg.Window)
-				rec.window = append(rec.window, now)
-				if rec.state == PortProbing {
-					rec.attempts++
-					rec.trip(now, h)
-					notes = append(notes, *rec.snapshotLocked(now))
-				} else if len(rec.window) >= h.cfg.TripErrors {
-					rec.trip(now, h)
-					notes = append(notes, *rec.snapshotLocked(now))
-				} else if rec.state == PortHealthy {
-					rec.state = PortDegraded
-					notes = append(notes, *rec.snapshotLocked(now))
+				if note := h.chargeLocked(rec, now, "stall: "+stalled); note != nil {
+					notes = append(notes, *note)
 				}
 			}
 		}
-		switch rec.state {
-		case PortDegraded:
-			rec.pruneWindow(now, h.cfg.Window)
-			if len(rec.window) == 0 {
-				rec.state = PortHealthy
+		switch rec.State {
+		case breaker.Degraded:
+			if rec.Settle(now, h.cfg.Window) {
 				rec.attempts = 0
-				notes = append(notes, *rec.snapshotLocked(now))
+				notes = append(notes, *h.snapshotLocked(rec, now))
 			}
-		case PortQuarantined:
+		case breaker.Quarantined:
 			switch {
 			case rec.wire && !rec.detached && !rec.enforcing:
 				rec.enforcing = true
@@ -479,17 +409,14 @@ func (rt *Runtime) SyncPortHealth() {
 				rec.enforcing = true
 				acts = append(acts, healthAction{port: portNum, spec: rec.spec})
 			case !rec.wire && !now.Before(rec.nextAttempt):
-				rec.state = PortProbing
-				rec.probeStart = now
-				rec.window = rec.window[:0]
-				notes = append(notes, *rec.snapshotLocked(now))
+				rec.Probe(now)
+				notes = append(notes, *h.snapshotLocked(rec, now))
 			}
-		case PortProbing:
-			if now.Sub(rec.probeStart) >= h.cfg.ProbeFor {
-				rec.state = PortHealthy
+		case breaker.Probing:
+			if now.Sub(rec.ProbeStart) >= h.cfg.ProbeFor {
+				rec.Close()
 				rec.attempts = 0
-				rec.window = rec.window[:0]
-				notes = append(notes, *rec.snapshotLocked(now))
+				notes = append(notes, *h.snapshotLocked(rec, now))
 			}
 		}
 	}
@@ -571,7 +498,7 @@ func (rt *Runtime) enforceQuarantine(portNum int) {
 	fn := h.notify
 	var note *PortHealth
 	if rec != nil && err == nil {
-		note = rec.snapshotLocked(h.now())
+		note = h.snapshotLocked(rec, h.now())
 	}
 	h.mu.Unlock()
 	if note != nil && fn != nil {
@@ -608,12 +535,10 @@ func (rt *Runtime) tryReattach(portNum int, spec string) {
 		if err == nil {
 			rec.detached = false
 			rec.reatt++
-			rec.state = PortProbing
-			rec.probeStart = now
-			rec.window = rec.window[:0]
+			rec.Probe(now)
 			rec.rxHeads, rec.txHeads = nil, nil
 			rec.rxStuck, rec.txStuck = nil, nil
-			note = rec.snapshotLocked(now)
+			note = h.snapshotLocked(rec, now)
 		} else if errors.Is(err, ErrPortBusy) || errors.Is(err, ErrClosed) {
 			// Operator attached the port themselves (their attach reset the
 			// record) or the runtime is closing; nothing to schedule.

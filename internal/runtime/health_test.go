@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hyper4/internal/breaker"
 )
 
 // fakeClock is a manually advanced time source for the breaker tracker.
@@ -92,7 +94,7 @@ func TestPortBreakerWalk(t *testing.T) {
 		return w, nil
 	}
 	var nmu sync.Mutex
-	var states []HealthState
+	var states []breaker.State
 	rt := New(&echoProc{}, Config{Workers: 1, Health: breakerHealthConfig(), TransportFactory: factory})
 	rt.SetHealthClock(clk.Now)
 	rt.SetHealthNotify(func(ph PortHealth) {
@@ -115,7 +117,7 @@ func TestPortBreakerWalk(t *testing.T) {
 	// sync (run by PortHealth) detaches the port.
 	waitFor(t, func() bool {
 		phs := rt.PortHealth()
-		return len(phs) == 1 && phs[0].State == PortQuarantined && phs[0].Detached
+		return len(phs) == 1 && phs[0].State == breaker.Quarantined && phs[0].Detached
 	}, "quarantine to detach the wire port")
 	if got := len(rt.Ports()); got != 0 {
 		t.Fatalf("quarantined wire port still on the active list (%d ports)", got)
@@ -130,7 +132,7 @@ func TestPortBreakerWalk(t *testing.T) {
 	clk.Advance(2 * time.Second)
 	rt.SyncPortHealth()
 	phs = rt.PortHealth()
-	if phs[0].State != PortProbing || phs[0].Detached || phs[0].Reattaches != 1 {
+	if phs[0].State != breaker.Probing || phs[0].Detached || phs[0].Reattaches != 1 {
 		t.Fatalf("after backoff: %+v", phs[0])
 	}
 	if got := len(rt.Ports()); got != 1 {
@@ -147,14 +149,14 @@ func TestPortBreakerWalk(t *testing.T) {
 	clk.Advance(time.Second)
 	rt.SyncPortHealth()
 	phs = rt.PortHealth()
-	if phs[0].State != PortHealthy {
+	if phs[0].State != breaker.Healthy {
 		t.Fatalf("after probe interval: %+v", phs[0])
 	}
 
 	// The notify stream saw the walk in order.
 	nmu.Lock()
 	defer nmu.Unlock()
-	idx := func(s HealthState) int {
+	idx := func(s breaker.State) int {
 		for i, st := range states {
 			if st == s {
 				return i
@@ -162,7 +164,7 @@ func TestPortBreakerWalk(t *testing.T) {
 		}
 		return -1
 	}
-	q, p, h := idx(PortQuarantined), idx(PortProbing), idx(PortHealthy)
+	q, p, h := idx(breaker.Quarantined), idx(breaker.Probing), idx(breaker.Healthy)
 	if q < 0 || p < 0 || h < 0 || !(q < p && p < h) {
 		t.Fatalf("notify order: %v", states)
 	}
@@ -190,7 +192,7 @@ func TestPortBreakerReattachFailureEscalatesBackoff(t *testing.T) {
 	}
 	waitFor(t, func() bool {
 		phs := rt.PortHealth()
-		return len(phs) == 1 && phs[0].State == PortQuarantined && phs[0].Detached
+		return len(phs) == 1 && phs[0].State == breaker.Quarantined && phs[0].Detached
 	}, "quarantine to park the port")
 
 	// Cycle 0: OpenFor(1s)+jitter ≤ 1.25s. At t=1.5s the reattach runs and
@@ -201,7 +203,7 @@ func TestPortBreakerReattachFailureEscalatesBackoff(t *testing.T) {
 		t.Fatalf("factory calls after first backoff = %d, want 2", got)
 	}
 	phs := rt.PortHealth()
-	if phs[0].State != PortQuarantined || !phs[0].Detached || phs[0].RetryIn <= 0 {
+	if phs[0].State != breaker.Quarantined || !phs[0].Detached || phs[0].RetryIn <= 0 {
 		t.Fatalf("after failed reattach: %+v", phs[0])
 	}
 
@@ -238,7 +240,7 @@ func TestChanPortQuarantineIsAdvisory(t *testing.T) {
 		rt.health.noteError(1, errKindRecv, errors.New("synthetic"))
 	}
 	phs := rt.PortHealth()
-	if phs[0].State != PortQuarantined || phs[0].Wire || phs[0].Detached {
+	if phs[0].State != breaker.Quarantined || phs[0].Wire || phs[0].Detached {
 		t.Fatalf("after trip: %+v", phs[0])
 	}
 	if got := len(rt.Ports()); got != 1 {
@@ -246,7 +248,7 @@ func TestChanPortQuarantineIsAdvisory(t *testing.T) {
 	}
 	clk.Advance(2 * time.Second) // past OpenFor+jitter
 	rt.SyncPortHealth()
-	if phs = rt.PortHealth(); phs[0].State != PortProbing {
+	if phs = rt.PortHealth(); phs[0].State != breaker.Probing {
 		t.Fatalf("after hold-off: %+v", phs[0])
 	}
 	if got := len(rt.Ports()); got != 1 {
@@ -254,7 +256,7 @@ func TestChanPortQuarantineIsAdvisory(t *testing.T) {
 	}
 	clk.Advance(time.Second)
 	rt.SyncPortHealth()
-	if phs = rt.PortHealth(); phs[0].State != PortHealthy {
+	if phs = rt.PortHealth(); phs[0].State != breaker.Healthy {
 		t.Fatalf("after probe interval: %+v", phs[0])
 	}
 }
@@ -296,7 +298,7 @@ func TestStallWatchdogTripsBreaker(t *testing.T) {
 	if phs[0].Stalls == 0 {
 		t.Fatalf("no stall charged: %+v", phs[0])
 	}
-	if phs[0].State != PortQuarantined {
+	if phs[0].State != breaker.Quarantined {
 		t.Fatalf("stall did not trip the breaker: %+v", phs[0])
 	}
 }

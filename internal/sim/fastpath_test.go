@@ -3,7 +3,6 @@ package sim
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -182,9 +181,25 @@ control ingress { apply(rt); }
 	}
 }
 
-// TestProcessBatchMatchesSerial: batched processing must produce per-packet
-// outputs byte-identical to serial Process calls, in input order.
-func TestProcessBatchMatchesSerial(t *testing.T) {
+// processConcurrent runs every input through Process on its own goroutine
+// and returns the results in input order.
+func processConcurrent(sw *Switch, inputs []Input) []Result {
+	results := make([]Result, len(inputs))
+	var wg sync.WaitGroup
+	for i, in := range inputs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i].Outputs, results[i].Trace, results[i].Err = sw.Process(in.Data, in.Port)
+		}()
+	}
+	wg.Wait()
+	return results
+}
+
+// TestConcurrentProcessMatchesSerial: concurrent Process calls must produce
+// per-packet outputs byte-identical to serial Process calls.
+func TestConcurrentProcessMatchesSerial(t *testing.T) {
 	sw := load(t, l2Src)
 	for i, port := range []int{3, 4, 5} {
 		mac := pkt.MustMAC(fmt.Sprintf("00:00:00:00:00:%02x", i+2))
@@ -205,11 +220,11 @@ func TestProcessBatchMatchesSerial(t *testing.T) {
 	for i, in := range inputs {
 		want[i].Outputs, want[i].Trace, want[i].Err = sw.Process(in.Data, in.Port)
 	}
-	got, err := sw.ProcessBatch(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := processConcurrent(sw, inputs)
 	for i := range inputs {
+		if got[i].Err != nil {
+			t.Fatal(got[i].Err)
+		}
 		if (got[i].Err == nil) != (want[i].Err == nil) {
 			t.Fatalf("packet %d: err %v vs serial %v", i, got[i].Err, want[i].Err)
 		}
@@ -228,63 +243,8 @@ func TestProcessBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestProcessBatchSerialFallback pins the workers==1 degenerate cases: with
-// GOMAXPROCS=1 (or a single-packet batch) ProcessBatch must take the serial
-// loop rather than paying worker-goroutine setup, and still produce results
-// identical to serial Process calls.
-func TestProcessBatchSerialFallback(t *testing.T) {
-	sw := load(t, l2Src)
-	mac := pkt.MustMAC("00:00:00:00:00:02")
-	if _, err := sw.TableAdd("dmac", "forward",
-		[]MatchParam{Exact(bitfield.FromBytes(48, mac[:]))}, Args(9, 3), 0); err != nil {
-		t.Fatal(err)
-	}
-	frame := ethFrame("00:00:00:00:00:02", "00:00:00:00:00:01", 0x1234, "hi")
-
-	check := func(inputs []Input) {
-		t.Helper()
-		results, err := sw.ProcessBatch(inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range results {
-			if len(r.Outputs) != 1 || r.Outputs[0].Port != 3 {
-				t.Fatalf("packet %d: outputs %+v", i, r.Outputs)
-			}
-		}
-	}
-	// Single-packet batch: workers clamps to len(pkts)=1.
-	check([]Input{{Data: frame, Port: 1}})
-
-	// GOMAXPROCS=1: the whole batch runs on the serial loop. The baseline
-	// goroutine count must be unchanged afterwards (no leaked workers), and
-	// per-packet allocation must match plain serial Process — worker setup
-	// (WaitGroup, closures, atomic cursor) would show up here.
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	inputs := make([]Input, 16)
-	for i := range inputs {
-		inputs[i] = Input{Data: frame, Port: 1}
-	}
-	check(inputs)
-	serial := testing.AllocsPerRun(50, func() {
-		if _, _, err := sw.Process(frame, 1); err != nil {
-			t.Fatal(err)
-		}
-	})
-	batched := testing.AllocsPerRun(50, func() {
-		if _, err := sw.ProcessBatch(inputs); err != nil {
-			t.Fatal(err)
-		}
-	})
-	perPkt := (batched - 1) / float64(len(inputs)) // minus the results slice
-	if perPkt > serial+1 {
-		t.Errorf("workers==1 ProcessBatch allocates %.1f/pkt vs %.1f serial; fallback not serial", perPkt, serial)
-	}
-}
-
-// TestConcurrentBatchAndControlPlane drives ProcessBatch from several
-// goroutines while the control plane adds and deletes entries. Run under
+// TestConcurrentBatchAndControlPlane drives batches of concurrent Process
+// calls while the control plane adds and deletes entries. Run under
 // -race this checks the locking discipline; functionally each packet must
 // see a consistent table (either port, never a torn entry).
 func TestConcurrentBatchAndControlPlane(t *testing.T) {
@@ -320,11 +280,10 @@ func TestConcurrentBatchAndControlPlane(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 50; round++ {
-		results, err := sw.ProcessBatch(inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range results {
+		for _, r := range processConcurrent(sw, inputs) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
 			for _, o := range r.Outputs {
 				if o.Port != 3 && o.Port != 4 {
 					t.Fatalf("torn entry: forwarded to port %d", o.Port)

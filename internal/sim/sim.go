@@ -9,13 +9,14 @@
 // applied, ternary bits matched, resubmit/recirculate counts). The trace is
 // what the paper's evaluation tables are computed from.
 //
-// Concurrency: Process is safe to call from multiple goroutines, and
-// ProcessBatch fans a packet slice across GOMAXPROCS workers. Control-plane
-// mutations (TableAdd, TableDelete, SetMirror, ...) serialize against
-// in-flight packets on a switch-wide RWMutex; stateful externs (registers,
-// counters, meters) take fine-grained per-array locks so their updates are
-// serialized exactly as bmv2 serializes extern access. See DESIGN.md
-// ("Concurrency model & fast path").
+// Concurrency: Process is safe to call from multiple goroutines; the packet
+// I/O runtime (internal/runtime) runs one worker goroutine per shard, each
+// handing its bursts to ProcessSeq. Control-plane mutations (TableAdd,
+// TableDelete, SetMirror, ...) serialize against in-flight packets on a
+// switch-wide RWMutex; stateful externs (registers, counters, meters) take
+// fine-grained per-array locks so their updates are serialized exactly as
+// bmv2 serializes extern access. See DESIGN.md ("Concurrency model & fast
+// path").
 package sim
 
 import (
