@@ -198,8 +198,7 @@ prove-smoke:
 	@echo prove smoke ok
 
 # Full throughput measurement; writes BENCH_throughput.json. Serial Process
-# rows per function and mode (the hp4-ctl and hp4-hooks rows must sit within
-# noise of plain hp4, fused within budget of native), then the fused
+# rows per function and mode (fused within budget of native), then the fused
 # l2_switch end to end through the packet I/O runtime at 1 and N workers.
 throughput:
 	$(GO) run ./cmd/hp4bench -only throughput

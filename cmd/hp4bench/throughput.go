@@ -68,32 +68,6 @@ func throughput(pkts int, jsonPath string) error {
 			record(res)
 		}
 	}
-	// Two extra l2_switch rows, each of which must sit within noise of the
-	// plain hp4 row (the bound is generous because single-CPU CI runners
-	// jitter heavily):
-	//   - hp4-ctl: the emulation configured through the typed control-plane
-	//     API (one atomic WriteBatch) instead of direct installer calls. The
-	//     management path must not change the data path.
-	//   - hp4-hooks: the emulation with a fault injector armed but injecting
-	//     nothing, measuring the hooks themselves. The default (no injector)
-	//     costs a single nil check.
-	hp4 := byKey[functions.L2Switch+"/hp4"]
-	for _, c := range []struct {
-		mode  bench.Mode
-		label string
-	}{{bench.HyPer4Ctl, "ctl-configured"}, {bench.HyPer4Hooks, "fault-hook"}} {
-		res, err := bench.Throughput(functions.L2Switch, c.mode, pkts)
-		if err != nil {
-			return err
-		}
-		record(res)
-		ratio := res.SerialNsOp / hp4.SerialNsOp
-		if ratio > 2.5 || ratio < 0.4 {
-			return fmt.Errorf("%s l2_switch serial cost %.0f ns/pkt vs %.0f ns/pkt plain hp4 (ratio %.2f, want within [0.4, 2.5])",
-				c.label, res.SerialNsOp, hp4.SerialNsOp, ratio)
-		}
-		fmt.Printf("%s l2_switch within noise of hp4 baseline (ratio %.2f)\n", c.label, ratio)
-	}
 	// The fused fast path is the emulation-tax killer (DESIGN.md §13): its
 	// serial cost must land within 5x native for single functions and
 	// within 8x for the composed chain (the native baseline there is one

@@ -16,7 +16,7 @@
 // sharded onto per-worker rings — by vdev program ID in persona mode — and
 // forwarded out the egress port's transport.
 //
-// The interactive prompt accepts every command of internal/sim/runtime plus:
+// The interactive prompt accepts every command of internal/sim/bmv2cli plus:
 //
 //	packet <port> <hex bytes>   inject a packet; outputs are printed
 //	trace <port> <hex bytes>    inject and print the full table trace
@@ -75,7 +75,7 @@ import (
 	"hyper4/internal/pkt"
 	pktio "hyper4/internal/runtime"
 	"hyper4/internal/sim"
-	"hyper4/internal/sim/runtime"
+	"hyper4/internal/sim/bmv2cli"
 )
 
 func main() {
@@ -155,7 +155,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hp4switch:", err)
 		os.Exit(1)
 	}
-	rt := runtime.New(sw)
+	rt := bmv2cli.New(sw)
 	var mgmt *ctl.CLI
 	var cp *ctl.Ctl
 	var d *dpmu.DPMU
@@ -396,7 +396,7 @@ func main() {
 	}
 }
 
-func handle(sw *sim.Switch, rt *runtime.Runtime, mgmt *ctl.CLI, iort *pktio.Runtime, line string) {
+func handle(sw *sim.Switch, rt *bmv2cli.Interp, mgmt *ctl.CLI, iort *pktio.Runtime, line string) {
 	fields := strings.Fields(line)
 	switch fields[0] {
 	case "port":

@@ -22,17 +22,6 @@ type Mode int
 const (
 	Native Mode = iota
 	HyPer4
-	// HyPer4Ctl is HyPer4 emulation configured through the typed
-	// control-plane API — one atomic ctl.WriteBatch of textual ops, the
-	// same wire shape hp4ctl ships — instead of direct DPMU installer
-	// calls. The data path is identical to HyPer4, so its throughput must
-	// sit within noise of the plain HyPer4 measurement.
-	HyPer4Ctl
-	// HyPer4Hooks is HyPer4 emulation with a fault injector attached whose
-	// spec injects nothing: it measures the cost of the armed injection
-	// hooks themselves, which must sit within noise of plain HyPer4 (a nil
-	// injector — the default — costs a single pointer check).
-	HyPer4Hooks
 	// HyPer4Fused is HyPer4 emulation with the DPMU's fused fast path
 	// enabled (DESIGN.md §13): per-vdev compiled dispatch plans replace the
 	// interpreted persona walk for fusable traffic.
@@ -44,10 +33,6 @@ func (m Mode) String() string {
 	switch m {
 	case Native:
 		return "native"
-	case HyPer4Ctl:
-		return "hp4-ctl"
-	case HyPer4Hooks:
-		return "hp4-hooks"
 	case HyPer4Fused:
 		return "hp4-fused"
 	}

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"hyper4/internal/chaos"
 	"hyper4/internal/core/dpmu"
 	"hyper4/internal/functions"
 	"hyper4/internal/pkt"
@@ -149,17 +148,6 @@ func routerSwitch(name string, mode Mode) (*sim.Switch, error) {
 // FunctionSwitch builds a configured switch for one of the paper's four
 // functions in either mode.
 func FunctionSwitch(fn string, mode Mode) (*sim.Switch, error) {
-	if mode == HyPer4Ctl {
-		return ctlSwitch("s", fn)
-	}
-	if mode == HyPer4Hooks {
-		sw, err := FunctionSwitch(fn, HyPer4)
-		if err != nil {
-			return nil, err
-		}
-		sw.SetInjector(chaos.New(chaos.Spec{}))
-		return sw, nil
-	}
 	switch fn {
 	case functions.L2Switch:
 		return l2Switch("s", mode, []hostEntry{{h1MAC, 1}, {h2MAC, 2}})

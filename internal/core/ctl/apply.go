@@ -9,7 +9,7 @@ import (
 	"hyper4/internal/core/hp4c"
 	"hyper4/internal/functions"
 	"hyper4/internal/sim"
-	"hyper4/internal/sim/runtime"
+	"hyper4/internal/sim/bmv2cli"
 )
 
 // applyOp executes one op against the DPMU. Callers hold c.wmu.
@@ -119,12 +119,9 @@ func (c *Ctl) applyOp(owner string, op *Op) (Result, error) {
 		return Result{Msg: fmt.Sprintf("port %d detached", op.PhysPort)}, nil
 
 	case OpSetDefault:
-		args := op.ArgVals
-		if !op.Parsed {
-			var err error
-			if args, err = parseValueList(op.Args); err != nil {
-				return Result{}, err
-			}
+		args, err := parseValueList(op.Args)
+		if err != nil {
+			return Result{}, err
 		}
 		return Result{}, d.SetDefault(owner, op.VDev, op.Table, op.Action, args)
 	}
@@ -133,13 +130,9 @@ func (c *Ctl) applyOp(owner string, op *Op) (Result, error) {
 
 // entrySpec materializes a table_add/table_modify op as a dpmu.EntrySpec,
 // parsing the textual match/argument tokens against the device's compiled
-// program unless the caller pre-parsed them.
+// program.
 func (c *Ctl) entrySpec(op *Op) (dpmu.EntrySpec, error) {
 	spec := dpmu.EntrySpec{Table: op.Table, Action: op.Action}
-	if op.Parsed {
-		spec.Params, spec.Args, spec.Priority = op.Params, op.ArgVals, op.Priority
-		return spec, nil
-	}
 	v, err := c.D.VDev(op.VDev)
 	if err != nil {
 		return spec, err
@@ -168,7 +161,7 @@ func (c *Ctl) entrySpec(op *Op) (dpmu.EntrySpec, error) {
 		} else {
 			rs.Width = 1
 		}
-		p, err := runtime.ParseMatchToken(op.Match[i], rs)
+		p, err := bmv2cli.ParseMatchToken(op.Match[i], rs)
 		if err != nil {
 			return spec, fmt.Errorf("match %d: %w: %w", i, err, dpmu.ErrInvalid)
 		}
@@ -198,7 +191,7 @@ func (c *Ctl) entrySpec(op *Op) (dpmu.EntrySpec, error) {
 func parseValueList(toks []string) ([]bitfield.Value, error) {
 	out := make([]bitfield.Value, len(toks))
 	for i, tok := range toks {
-		v, err := runtime.ParseValueToken(tok, 0)
+		v, err := bmv2cli.ParseValueToken(tok, 0)
 		if err != nil {
 			return nil, fmt.Errorf("arg %d: %w: %w", i, err, dpmu.ErrInvalid)
 		}

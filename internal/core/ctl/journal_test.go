@@ -2,6 +2,7 @@ package ctl
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -377,20 +378,29 @@ func TestJournalSnapshotIncludesParkedPorts(t *testing.T) {
 	}
 }
 
-// TestJournalRejectsParsedOps: in-process pre-parsed ops carry values that
-// don't serialize; a journaled control plane must refuse them up front
-// rather than journal a record that would replay wrongly.
-func TestJournalRejectsParsedOps(t *testing.T) {
+// TestJournalMalformedSnapshot: a snap.bin whose frame and CRC are intact
+// but whose state is malformed (a value of negative width) fails recovery
+// with the "restore snapshot" error instead of panicking the boot.
+func TestJournalMalformedSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	c, _ := journaledCtl(t, dir, 1000)
-	if _, err := NewCLI(c, "op").Exec("load l2 l2_switch"); err != nil {
+	state := `{"next_pid":1,"switch":{"tables":{"t1_ed_exact":{"next_handle":1,"default_action":"x","default_args":[{"w":-1}]}}}}`
+	payload, err := json.Marshal(journalSnapshot{Seq: 1, State: json.RawMessage(state)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := c.WriteBatch("op", []Op{{Kind: OpTableAdd, VDev: "l2", Table: "smac", Action: "_nop", Parsed: true}})
-	if err == nil {
-		t.Fatal("journaled ctl accepted a pre-parsed op")
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, payload); err != nil {
+		t.Fatal(err)
 	}
-	if CodeOf(err) != CodeInvalidArgument || !strings.Contains(err.Error(), "journal") {
-		t.Fatalf("wrong rejection: %v", err)
+	if err := os.WriteFile(filepath.Join(dir, snapName), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newPersonaCtl(t)
+	if _, err := c.AttachJournal(j); err == nil || !strings.Contains(err.Error(), "journal: restore snapshot") {
+		t.Fatalf("AttachJournal on a malformed snapshot: %v", err)
 	}
 }

@@ -50,7 +50,7 @@ import (
 //	port health
 //
 // Match tokens use the emulated program's own field widths and kinds, in the
-// same syntax as internal/sim/runtime; they are parsed against the program
+// same syntax as internal/sim/bmv2cli; they are parsed against the program
 // when the op is applied, not here.
 
 // vdevOps are the second-token operations of the "<vdev> table_..." form.

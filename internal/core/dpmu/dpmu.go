@@ -19,7 +19,7 @@ import (
 	"hyper4/internal/core/verify"
 	"hyper4/internal/p4/ast"
 	"hyper4/internal/sim"
-	"hyper4/internal/sim/runtime"
+	"hyper4/internal/sim/bmv2cli"
 )
 
 // DPMU manages one persona switch.
@@ -65,50 +65,52 @@ type DPMU struct {
 }
 
 // VDev is one loaded virtual device: a compiled program bound to a program
-// ID on the persona.
+// ID on the persona. Its bookkeeping fields (Entries onward) are exported
+// only so a Checkpoint encodes as it is; code outside this package must not
+// use them. Comp encodes as its function name (persist.go).
 type VDev struct {
-	Name  string
-	PID   int
-	Owner string
-	Comp  *hp4c.Compiled
+	Name  string         `json:"name"`
+	PID   int            `json:"pid"`
+	Owner string         `json:"owner,omitempty"`
+	Comp  *hp4c.Compiled `json:"-"`
 	// Quota bounds installed virtual entries (0 = unlimited), the memory
 	// isolation mechanism of §4.5.
-	Quota int
+	Quota int `json:"quota,omitempty"`
 
-	entries    map[int]*ventry
-	nextHandle int
-	static     []pentry            // parse/virtnet/csum rows
-	defaults   map[string][]pentry // per-table catch-all rows
-	// defSpecs retains each default as the caller set it (action + args),
-	// control-plane memory like ventry.spec: the equivalence prover rebuilds
+	Entries    map[int]*ventry     `json:"entries"`
+	NextHandle int                 `json:"next_handle"`
+	Static     []pentry            `json:"static"`   // parse/virtnet/csum rows
+	Defaults   map[string][]pentry `json:"defaults"` // per-table catch-all rows
+	// DefSpecs retains each default as the caller set it (action + args),
+	// control-plane memory like ventry.Spec: the equivalence prover rebuilds
 	// a native twin of the device from specs alone.
-	defSpecs map[string]EntrySpec
-	links    []pentry       // virtual network rows
-	vnet     map[int]pentry // t_virtnet routing row per virtual egress port
+	DefSpecs map[string]EntrySpec `json:"def_specs"`
+	Links    []pentry             `json:"links"` // virtual network rows
+	VNet     map[int]pentry       `json:"vnet"`  // t_virtnet routing row per virtual egress port
 }
 
 // EntryCount returns the number of installed virtual entries.
-func (v *VDev) EntryCount() int { return len(v.entries) }
+func (v *VDev) EntryCount() int { return len(v.Entries) }
 
-// ventry is one virtual entry and the persona rows realizing it. spec
+// ventry is one virtual entry and the persona rows realizing it. Spec
 // retains the entry as the caller installed it — control-plane memory only —
 // so the static verifier (internal/core/verify) can re-analyze a device's
 // entry set at the virtual level (shadowing, reachability) without
 // reverse-translating persona rows.
 type ventry struct {
-	table string
-	rows  []pentry
-	spec  EntrySpec
+	Table string    `json:"table"`
+	Rows  []pentry  `json:"rows"`
+	Spec  EntrySpec `json:"spec"`
 }
 
-// pentry identifies one persona row. match marks the a_set_match stage-table
+// pentry identifies one persona row. Match marks the a_set_match stage-table
 // row (as opposed to prep rows): its per-entry hit counter is what per-vdev
 // stats attribution sums over, since a packet that matches a virtual entry
 // hits exactly one of its stage rows (the one on its parse path).
 type pentry struct {
-	table  string
-	handle int
-	match  bool
+	Table  string `json:"table"`
+	Handle int    `json:"handle"`
+	Match  bool   `json:"match,omitempty"`
 }
 
 // Assignment binds a physical ingress port (-1 = every port) to a virtual
@@ -122,7 +124,7 @@ type Assignment struct {
 // New creates a DPMU over a freshly loaded persona switch. It installs the
 // persona's base entries.
 func New(sw *sim.Switch, p *persona.Persona) (*DPMU, error) {
-	if err := runtime.New(sw).ExecAll(p.BaseCommands); err != nil {
+	if err := bmv2cli.New(sw).ExecAll(p.BaseCommands); err != nil {
 		return nil, fmt.Errorf("dpmu: persona base entries: %w", err)
 	}
 	d := &DPMU{
@@ -200,14 +202,14 @@ func (d *DPMU) Load(name string, comp *hp4c.Compiled, owner string, quota int) (
 		Owner:    owner,
 		Comp:     comp,
 		Quota:    quota,
-		entries:  map[int]*ventry{},
-		defaults: map[string][]pentry{},
-		defSpecs: map[string]EntrySpec{},
-		vnet:     map[int]pentry{},
+		Entries:  map[int]*ventry{},
+		Defaults: map[string][]pentry{},
+		DefSpecs: map[string]EntrySpec{},
+		VNet:     map[int]pentry{},
 	}
 	if err := d.installStatic(v); err != nil {
-		d.removeRows(v.static)
-		for _, rows := range v.defaults {
+		d.removeRows(v.Static)
+		for _, rows := range v.Defaults {
 			d.removeRows(rows)
 		}
 		return nil, err
@@ -228,14 +230,14 @@ func (d *DPMU) Unload(owner, name string) error {
 	if err != nil {
 		return err
 	}
-	for _, e := range v.entries {
-		d.removeRows(e.rows)
+	for _, e := range v.Entries {
+		d.removeRows(e.Rows)
 	}
-	for _, rows := range v.defaults {
+	for _, rows := range v.Defaults {
 		d.removeRows(rows)
 	}
-	d.removeRows(v.links)
-	d.removeRows(v.static)
+	d.removeRows(v.Links)
+	d.removeRows(v.Static)
 	delete(d.vdevs, name)
 	d.dropLinkSpecsFrom(name)
 	d.unregisterHealth(name)
@@ -259,7 +261,7 @@ func (d *DPMU) auth(owner, name string) (*VDev, error) {
 func (d *DPMU) removeRows(rows []pentry) {
 	for _, r := range rows {
 		// Best effort: rows may already be gone during unload cleanup.
-		_ = d.SW.TableDelete(r.table, r.handle)
+		_ = d.SW.TableDelete(r.Table, r.Handle)
 	}
 }
 
@@ -268,6 +270,6 @@ func (d *DPMU) addRow(dst *[]pentry, table, action string, params []sim.MatchPar
 	if err != nil {
 		return fmt.Errorf("dpmu: %s: %w", table, err)
 	}
-	*dst = append(*dst, pentry{table: table, handle: h})
+	*dst = append(*dst, pentry{Table: table, Handle: h})
 	return nil
 }

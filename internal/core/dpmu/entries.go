@@ -66,7 +66,7 @@ func (d *DPMU) installStatic(v *VDev) error {
 				bitfield.FromUint(persona.NumBytesWidth, uint64(pe.NumBytes)),
 				bitfield.FromUint(persona.StateWidth, uint64(pe.NextState)),
 			}
-			if err := d.addRow(&v.static, persona.TblParseCtrl, persona.ActParseMore, params, args, pe.Priority); err != nil {
+			if err := d.addRow(&v.Static, persona.TblParseCtrl, persona.ActParseMore, params, args, pe.Priority); err != nil {
 				return err
 			}
 			continue
@@ -80,7 +80,7 @@ func (d *DPMU) installStatic(v *VDev) error {
 			bitfield.FromUint(persona.SlotWidth, uint64(pe.Path.First.ID)),
 			bitfield.FromUint(8, csum),
 		}
-		if err := d.addRow(&v.static, persona.TblParseCtrl, persona.ActParseDone, params, args, pe.Priority); err != nil {
+		if err := d.addRow(&v.Static, persona.TblParseCtrl, persona.ActParseDone, params, args, pe.Priority); err != nil {
 			return err
 		}
 	}
@@ -88,7 +88,7 @@ func (d *DPMU) installStatic(v *VDev) error {
 	// virtual drop (VPortDrop) both drop.
 	for _, vp := range []uint64{0, persona.VPortDrop} {
 		params := []sim.MatchParam{sim.Exact(pid), sim.ExactUint(persona.VPortWidth, vp)}
-		if err := d.addRow(&v.static, persona.TblVirtnet, persona.ActVDrop, params, nil, 0); err != nil {
+		if err := d.addRow(&v.Static, persona.TblVirtnet, persona.ActVDrop, params, nil, 0); err != nil {
 			return err
 		}
 	}
@@ -123,7 +123,7 @@ func (d *DPMU) installStatic(v *VDev) error {
 				return err
 			}
 		}
-		v.defaults[table] = rows
+		v.Defaults[table] = rows
 	}
 	if v.Comp.NeedsIPv4Csum {
 		hoff := v.Comp.HeaderOffsets[v.Comp.CsumHeader]
@@ -134,7 +134,7 @@ func (d *DPMU) installStatic(v *VDev) error {
 			bitfield.FromUint(persona.ShiftWidth, uint64(ew-hoff*8-16)),
 			bitfield.FromUint(persona.ShiftWidth, uint64(ew-csumBit-16)),
 		}
-		if err := d.addRow(&v.static, persona.TblCsum, "a_ipv4_csum", []sim.MatchParam{sim.Exact(pid)}, args, 0); err != nil {
+		if err := d.addRow(&v.Static, persona.TblCsum, "a_ipv4_csum", []sim.MatchParam{sim.Exact(pid)}, args, 0); err != nil {
 			return err
 		}
 	}
@@ -147,11 +147,11 @@ func (d *DPMU) installStatic(v *VDev) error {
 // arguments lining up with the action's parameters, and a bmv2-style
 // priority (lower wins) for ternary/LPM tables.
 type EntrySpec struct {
-	Table    string
-	Action   string
-	Params   []sim.MatchParam
-	Args     []bitfield.Value
-	Priority int
+	Table    string           `json:"table"`
+	Action   string           `json:"action"`
+	Params   []sim.MatchParam `json:"params"`
+	Args     []bitfield.Value `json:"args"`
+	Priority int              `json:"priority,omitempty"`
 }
 
 // resolveSpec validates an EntrySpec against a device's compiled program and
@@ -204,20 +204,20 @@ func (d *DPMU) TableAdd(owner, vdev string, spec EntrySpec) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if v.Quota > 0 && len(v.entries) >= v.Quota {
+	if v.Quota > 0 && len(v.Entries) >= v.Quota {
 		return 0, fmt.Errorf("dpmu: virtual device %q exceeds its quota of %d entries: %w", vdev, v.Quota, ErrExhausted)
 	}
 	tbl, ca, err := resolveSpec(v, spec)
 	if err != nil {
 		return 0, err
 	}
-	e := &ventry{table: spec.Table, spec: spec}
-	if err := d.installSpec(v, tbl, ca, spec, &e.rows); err != nil {
+	e := &ventry{Table: spec.Table, Spec: spec}
+	if err := d.installSpec(v, tbl, ca, spec, &e.Rows); err != nil {
 		return 0, err
 	}
-	v.nextHandle++
-	v.entries[v.nextHandle] = e
-	return v.nextHandle, nil
+	v.NextHandle++
+	v.Entries[v.NextHandle] = e
+	return v.NextHandle, nil
 }
 
 // TableDelete removes a virtual entry.
@@ -229,12 +229,12 @@ func (d *DPMU) TableDelete(owner, vdev, table string, handle int) error {
 	if err != nil {
 		return err
 	}
-	e, ok := v.entries[handle]
-	if !ok || e.table != table {
+	e, ok := v.Entries[handle]
+	if !ok || e.Table != table {
 		return fmt.Errorf("dpmu: device %s table %s has no entry %d: %w", vdev, table, handle, ErrNotFound)
 	}
-	d.removeRows(e.rows)
-	delete(v.entries, handle)
+	d.removeRows(e.Rows)
+	delete(v.Entries, handle)
 	return nil
 }
 
@@ -251,8 +251,8 @@ func (d *DPMU) TableModify(owner, vdev string, handle int, spec EntrySpec) error
 	if err != nil {
 		return err
 	}
-	e, ok := v.entries[handle]
-	if !ok || e.table != spec.Table {
+	e, ok := v.Entries[handle]
+	if !ok || e.Table != spec.Table {
 		return fmt.Errorf("dpmu: device %s table %s has no entry %d: %w", vdev, spec.Table, handle, ErrNotFound)
 	}
 	tbl, ca, err := resolveSpec(v, spec)
@@ -263,9 +263,9 @@ func (d *DPMU) TableModify(owner, vdev string, handle int, spec EntrySpec) error
 	if err := d.installSpec(v, tbl, ca, spec, &fresh); err != nil {
 		return err
 	}
-	d.removeRows(e.rows)
-	e.rows = fresh
-	e.spec = spec
+	d.removeRows(e.Rows)
+	e.Rows = fresh
+	e.Spec = spec
 	return nil
 }
 
@@ -290,10 +290,10 @@ func (d *DPMU) SetDefault(owner, vdev, table, action string, args []bitfield.Val
 	if len(args) != len(ca.Params) {
 		return fmt.Errorf("dpmu: action %s wants %d args, got %d: %w", action, len(ca.Params), len(args), ErrInvalid)
 	}
-	if old, ok := v.defaults[table]; ok {
+	if old, ok := v.Defaults[table]; ok {
 		d.removeRows(old)
-		delete(v.defaults, table)
-		delete(v.defSpecs, table)
+		delete(v.Defaults, table)
+		delete(v.DefSpecs, table)
 	}
 	var rows []pentry
 	for _, slot := range slots {
@@ -307,8 +307,8 @@ func (d *DPMU) SetDefault(owner, vdev, table, action string, args []bitfield.Val
 			return err
 		}
 	}
-	v.defaults[table] = rows
-	v.defSpecs[table] = EntrySpec{Table: table, Action: action, Args: args}
+	v.Defaults[table] = rows
+	v.DefSpecs[table] = EntrySpec{Table: table, Action: action, Args: args}
 	return nil
 }
 
@@ -379,7 +379,7 @@ func (d *DPMU) installRow(v *VDev, slot *hp4c.Slot, ca *hp4c.CompiledAction, mat
 	if err := d.addRow(rows, stageTable, persona.ActSetMatch, matchParams, setArgs, prio); err != nil {
 		return err
 	}
-	(*rows)[len(*rows)-1].match = true
+	(*rows)[len(*rows)-1].Match = true
 	pid := bitfield.FromUint(persona.ProgramWidth, uint64(v.PID))
 	midVal := bitfield.FromUint(persona.MatchIDWidth, uint64(mid))
 	for p, spec := range ca.Prims {

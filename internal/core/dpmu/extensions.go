@@ -105,7 +105,7 @@ func (d *DPMU) MulticastGroup(owner, vdev string, vport int, targets []VPortRef)
 			}
 		}
 	}
-	from.links = append(from.links, rows...)
+	from.Links = append(from.Links, rows...)
 	return nil
 }
 

@@ -22,52 +22,52 @@ func (d *DPMU) VerifySource() *verify.Source {
 		dev := verify.Device{Name: v.Name, PID: v.PID, Comp: v.Comp}
 		addRows := func(rows []pentry) {
 			for _, r := range rows {
-				dev.Rows = append(dev.Rows, verify.Row{Table: r.table, Handle: r.handle})
+				dev.Rows = append(dev.Rows, verify.Row{Table: r.Table, Handle: r.Handle})
 			}
 		}
-		handles := make([]int, 0, len(v.entries))
-		for h := range v.entries {
+		handles := make([]int, 0, len(v.Entries))
+		for h := range v.Entries {
 			handles = append(handles, h)
 		}
 		sort.Ints(handles)
 		for _, h := range handles {
-			e := v.entries[h]
+			e := v.Entries[h]
 			dev.Entries = append(dev.Entries, verify.Entry{
 				Handle:   h,
-				Table:    e.spec.Table,
-				Action:   e.spec.Action,
-				Params:   e.spec.Params,
-				Args:     e.spec.Args,
-				Priority: e.spec.Priority,
+				Table:    e.Spec.Table,
+				Action:   e.Spec.Action,
+				Params:   e.Spec.Params,
+				Args:     e.Spec.Args,
+				Priority: e.Spec.Priority,
 			})
-			addRows(e.rows)
+			addRows(e.Rows)
 		}
-		addRows(v.static)
-		tables := make([]string, 0, len(v.defaults))
-		for t := range v.defaults {
+		addRows(v.Static)
+		tables := make([]string, 0, len(v.Defaults))
+		for t := range v.Defaults {
 			tables = append(tables, t)
 		}
 		sort.Strings(tables)
 		for _, t := range tables {
-			addRows(v.defaults[t])
+			addRows(v.Defaults[t])
 		}
-		addRows(v.links)
-		// vnet rows replace entries in v.links over time; the row set is a
+		addRows(v.Links)
+		// vnet rows replace entries in v.Links over time; the row set is a
 		// set, so re-adding the live ones is harmless and covers rows that
 		// were replaced in place.
-		ports := make([]int, 0, len(v.vnet))
-		for p := range v.vnet {
+		ports := make([]int, 0, len(v.VNet))
+		for p := range v.VNet {
 			ports = append(ports, p)
 		}
 		sort.Ints(ports)
 		for _, p := range ports {
-			row := v.vnet[p]
-			dev.Rows = append(dev.Rows, verify.Row{Table: row.table, Handle: row.handle})
+			row := v.VNet[p]
+			dev.Rows = append(dev.Rows, verify.Row{Table: row.Table, Handle: row.Handle})
 		}
 		src.Devices = append(src.Devices, dev)
 	}
 	for _, l := range d.linkSpecs {
-		src.Links = append(src.Links, verify.Link{FromDev: l.fromDev, FromPort: l.fromPort, ToDev: l.toDev, ToPort: l.toPort})
+		src.Links = append(src.Links, verify.Link{FromDev: l.FromDev, FromPort: l.FromPort, ToDev: l.ToDev, ToPort: l.ToPort})
 	}
 	return src
 }

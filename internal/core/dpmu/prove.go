@@ -40,23 +40,23 @@ func (d *DPMU) Prove(owner, vdev string, opts prove.Options) (*prove.Result, err
 	}
 	comp := v.Comp
 	pid := v.PID
-	handles := make([]int, 0, len(v.entries))
-	for h := range v.entries {
+	handles := make([]int, 0, len(v.Entries))
+	for h := range v.Entries {
 		handles = append(handles, h)
 	}
 	sort.Ints(handles)
 	specs := make([]EntrySpec, 0, len(handles))
 	for _, h := range handles {
-		specs = append(specs, v.entries[h].spec)
+		specs = append(specs, v.Entries[h].Spec)
 	}
-	defTables := make([]string, 0, len(v.defSpecs))
-	for t := range v.defSpecs {
+	defTables := make([]string, 0, len(v.DefSpecs))
+	for t := range v.DefSpecs {
 		defTables = append(defTables, t)
 	}
 	sort.Strings(defTables)
 	defSpecs := make([]EntrySpec, 0, len(defTables))
 	for _, t := range defTables {
-		defSpecs = append(defSpecs, v.defSpecs[t])
+		defSpecs = append(defSpecs, v.DefSpecs[t])
 	}
 	identity := d.identityHarnessLocked(v)
 	d.mu.RUnlock()
@@ -115,11 +115,11 @@ func (d *DPMU) identityHarnessLocked(v *VDev) bool {
 		byHandle[e.Handle] = e
 	}
 	for vp := 1; vp < 16; vp++ {
-		row, ok := v.vnet[vp]
+		row, ok := v.VNet[vp]
 		if !ok {
 			return false
 		}
-		e := byHandle[row.handle]
+		e := byHandle[row.Handle]
 		if e == nil || e.Action != persona.ActPhysFwd || len(e.Args) != 1 || e.Args[0].Uint64() != uint64(vp) {
 			return false
 		}

@@ -11,7 +11,7 @@ import (
 // entries.go. A virtual entry is realized as one a_set_match stage row per
 // matching parse path, and a packet follows exactly one parse path, so the
 // packets that matched the virtual entry are exactly the packets that hit one
-// of its stage rows. Likewise the per-table catch-all rows (v.defaults) are
+// of its stage rows. Likewise the per-table catch-all rows (v.Defaults) are
 // hit exactly when the virtual table missed. Summing the switch's per-row hit
 // counters over a device's own rows therefore reconstructs what the emulated
 // program's operator would see from bmv2 — and cannot leak another device's
@@ -40,10 +40,10 @@ type VDevStats struct {
 func (d *DPMU) matchRowHits(rows []pentry) int64 {
 	var n int64
 	for _, r := range rows {
-		if !r.match {
+		if !r.Match {
 			continue
 		}
-		if hits, err := d.SW.EntryHits(r.table, r.handle); err == nil {
+		if hits, err := d.SW.EntryHits(r.Table, r.Handle); err == nil {
 			n += hits
 		}
 	}
@@ -60,16 +60,16 @@ func (d *DPMU) statsFor(v *VDev) VDevStats {
 	for table := range v.Comp.Slots {
 		byTable[table] = &VTableStats{Table: table}
 	}
-	for _, e := range v.entries {
-		ts, ok := byTable[e.table]
+	for _, e := range v.Entries {
+		ts, ok := byTable[e.Table]
 		if !ok { // defensive: entry for a table no longer in Slots
-			ts = &VTableStats{Table: e.table}
-			byTable[e.table] = ts
+			ts = &VTableStats{Table: e.Table}
+			byTable[e.Table] = ts
 		}
 		ts.Entries++
-		ts.Hits += d.matchRowHits(e.rows)
+		ts.Hits += d.matchRowHits(e.Rows)
 	}
-	for table, rows := range v.defaults {
+	for table, rows := range v.Defaults {
 		ts, ok := byTable[table]
 		if !ok {
 			ts = &VTableStats{Table: table}

@@ -152,8 +152,8 @@ func TestVDevStatsModifyAndDelete(t *testing.T) {
 // vdevEntries snapshots a device's virtual entry handles and their tables.
 func vdevEntries(d *DPMU, name string) map[int]string {
 	out := map[int]string{}
-	for h, e := range d.vdevs[name].entries {
-		out[h] = e.table
+	for h, e := range d.vdevs[name].Entries {
+		out[h] = e.Table
 	}
 	return out
 }

@@ -42,7 +42,7 @@ func (d *DPMU) assignPort(owner string, a Assignment) error {
 	if err != nil {
 		return fmt.Errorf("dpmu: assign: %w", err)
 	}
-	d.assignPEs = append(d.assignPEs, pentry{table: persona.TblAssign, handle: h})
+	d.assignPEs = append(d.assignPEs, pentry{Table: persona.TblAssign, Handle: h})
 	d.assigns = append(d.assigns, a)
 	return nil
 }
@@ -92,15 +92,15 @@ func (d *DPMU) clearAssignments() {
 // port. MapVPort and LinkVPorts have replace semantics: re-mapping a port
 // re-routes it rather than hitting the duplicate-key rejection in TableAdd.
 func (d *DPMU) unmapVPort(v *VDev, vport int) {
-	row, ok := v.vnet[vport]
+	row, ok := v.VNet[vport]
 	if !ok {
 		return
 	}
-	delete(v.vnet, vport)
-	_ = d.SW.TableDelete(row.table, row.handle)
-	for i := range v.links {
-		if v.links[i] == row {
-			v.links = append(v.links[:i], v.links[i+1:]...)
+	delete(v.VNet, vport)
+	_ = d.SW.TableDelete(row.Table, row.Handle)
+	for i := range v.Links {
+		if v.Links[i] == row {
+			v.Links = append(v.Links[:i], v.Links[i+1:]...)
 			break
 		}
 	}
@@ -121,11 +121,11 @@ func (d *DPMU) MapVPort(owner, vdev string, vport, physPort int) error {
 		sim.ExactUint(persona.VPortWidth, uint64(vport)),
 	}
 	d.unmapVPort(v, vport)
-	if err := d.addRow(&v.links, persona.TblVirtnet, persona.ActPhysFwd, params,
+	if err := d.addRow(&v.Links, persona.TblVirtnet, persona.ActPhysFwd, params,
 		[]bitfield.Value{bitfield.FromUint(9, uint64(physPort))}, 0); err != nil {
 		return err
 	}
-	v.vnet[vport] = v.links[len(v.links)-1]
+	v.VNet[vport] = v.Links[len(v.Links)-1]
 	// The port now routes to a physical port; it no longer feeds a device.
 	d.dropLinkSpec(vdev, vport)
 	return nil
@@ -153,12 +153,12 @@ func (d *DPMU) linkVPorts(owner, fromDev string, fromPort int, toDev string, toP
 		return fmt.Errorf("dpmu: no virtual device %q: %w", toDev, ErrNotFound)
 	}
 	d.unmapVPort(from, fromPort)
-	if err := d.addRow(&from.links, persona.TblVirtnet, persona.ActVirtFwd,
+	if err := d.addRow(&from.Links, persona.TblVirtnet, persona.ActVirtFwd,
 		linkMatch(from, fromPort), linkArgs(to, toPort), 0); err != nil {
 		return err
 	}
-	from.vnet[fromPort] = from.links[len(from.links)-1]
-	d.setLinkSpec(linkSpec{fromDev: fromDev, fromPort: fromPort, toDev: toDev, toPort: toPort})
+	from.VNet[fromPort] = from.Links[len(from.Links)-1]
+	d.setLinkSpec(linkSpec{FromDev: fromDev, FromPort: fromPort, ToDev: toDev, ToPort: toPort})
 	return nil
 }
 

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"hyper4/internal/sim"
-	"hyper4/internal/sim/runtime"
+	"hyper4/internal/sim/bmv2cli"
 )
 
 func TestGenerateReference(t *testing.T) {
@@ -31,7 +31,7 @@ func TestPersonaLoadsAndAcceptsBaseCommands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := runtime.New(sw)
+	rt := bmv2cli.New(sw)
 	if err := rt.ExecAll(p.BaseCommands); err != nil {
 		t.Fatalf("base commands: %v", err)
 	}

@@ -23,19 +23,26 @@ func (c *fakeClock) Now() time.Time          { return time.Unix(10_000, c.ns.Loa
 func (c *fakeClock) Advance(d time.Duration) { c.ns.Add(int64(d)) }
 
 // fakeWire is a scriptable "wire" transport built by a TransportFactory:
-// while fail is set every Recv returns an error; otherwise Recv blocks for
-// injected frames. Close unblocks everything.
+// once setFail is called every Recv returns an error, including a Recv
+// already blocked waiting for a frame; until then Recv blocks for injected
+// frames. Close unblocks everything.
 type fakeWire struct {
-	fail   atomic.Bool
-	recvs  atomic.Int64
-	frames chan []byte
-	closed chan struct{}
-	once   sync.Once
+	recvs    atomic.Int64
+	frames   chan []byte
+	failing  chan struct{}
+	closed   chan struct{}
+	failOnce sync.Once
+	once     sync.Once
 }
 
 func newFakeWire() *fakeWire {
-	return &fakeWire{frames: make(chan []byte, 16), closed: make(chan struct{})}
+	return &fakeWire{frames: make(chan []byte, 16), failing: make(chan struct{}), closed: make(chan struct{})}
 }
+
+// setFail makes the wire fail from now on.
+func (w *fakeWire) setFail() { w.failOnce.Do(func() { close(w.failing) }) }
+
+var errCarrierLost = errors.New("carrier lost")
 
 func (w *fakeWire) Recv(f *Frame) error {
 	w.recvs.Add(1)
@@ -44,10 +51,9 @@ func (w *fakeWire) Recv(f *Frame) error {
 		return ErrClosed
 	default:
 	}
-	if w.fail.Load() {
-		return errors.New("carrier lost")
-	}
 	select {
+	case <-w.failing:
+		return errCarrierLost
 	case d := <-w.frames:
 		f.Data = d
 		return nil
@@ -111,7 +117,7 @@ func TestPortBreakerWalk(t *testing.T) {
 	mu.Lock()
 	w0 := wires[0]
 	mu.Unlock()
-	w0.fail.Store(true)
+	w0.setFail()
 
 	// The RX loop's errors fill the window; the breaker trips and the next
 	// sync (run by PortHealth) detaches the port.
@@ -178,7 +184,7 @@ func TestPortBreakerReattachFailureEscalatesBackoff(t *testing.T) {
 	factory := func(port int, spec string) (Transport, error) {
 		if calls.Add(1) == 1 {
 			w := newFakeWire()
-			w.fail.Store(true)
+			w.setFail()
 			return w, nil
 		}
 		return nil, fmt.Errorf("bind: address already in use")
@@ -308,7 +314,7 @@ func TestStallWatchdogTripsBreaker(t *testing.T) {
 // the loop spin. (The old flat 1 ms sleep would make ~300 Recv calls here.)
 func TestRecvErrorBackoffBoundsSpin(t *testing.T) {
 	w := newFakeWire()
-	w.fail.Store(true)
+	w.setFail()
 	cfg := breakerHealthConfig()
 	cfg.TripErrors = 1 << 20 // keep the breaker out of the way
 	cfg.RecvErrBase = 5 * time.Millisecond
@@ -342,7 +348,7 @@ func TestOperatorDetachCancelsAutoReattach(t *testing.T) {
 	factory := func(int, string) (Transport, error) {
 		calls.Add(1)
 		w := newFakeWire()
-		w.fail.Store(true)
+		w.setFail()
 		return w, nil
 	}
 	rt := New(&echoProc{}, Config{Workers: 1, Health: breakerHealthConfig(), TransportFactory: factory})

@@ -19,6 +19,10 @@ type ring struct {
 	// monotonically and are compared by difference, so wraparound is free.
 	head atomic.Uint64
 	tail atomic.Uint64
+	// settled trails head: the consumer advances it once the frames it
+	// popped are fully handled, so a drain can wait for popped-but-unhandled
+	// frames too (idle), not only for an empty ring.
+	settled atomic.Uint64
 }
 
 // newRing builds a ring with capacity rounded up to a power of two.
@@ -69,3 +73,9 @@ func (r *ring) depth() int {
 
 // empty reports whether the ring held nothing at the moment of the call.
 func (r *ring) empty() bool { return r.head.Load() == r.tail.Load() }
+
+// settle marks every frame popped so far as handled. Consumer-side only.
+func (r *ring) settle() { r.settled.Store(r.head.Load()) }
+
+// idle reports whether every frame ever pushed has been popped and settled.
+func (r *ring) idle() bool { return r.settled.Load() == r.tail.Load() }

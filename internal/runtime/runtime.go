@@ -305,9 +305,11 @@ func (rt *Runtime) detachPort(portNum int) error {
 	return nil
 }
 
-// drainPortRx waits until a detached port's ingress rings are empty. With
-// workers running they do the draining; before Start the detacher flushes
-// the rings itself (no competing consumer exists yet).
+// drainPortRx waits until a detached port's ingress rings are idle: every
+// frame accepted into them has been popped and processed (and its outputs
+// routed), not merely popped. With workers running they do the draining;
+// before Start the detacher flushes the rings itself (no competing consumer
+// exists yet).
 //
 // If workers make no progress within the deadline (wedged in the processor),
 // the backlog is abandoned: whatever is left is counted as rx drops so the
@@ -328,14 +330,14 @@ func (rt *Runtime) drainPortRx(p *port, started bool) {
 	rt.wakeAll()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		empty := true
+		idle := true
 		for w := range p.rx {
-			if !p.rx[w].empty() {
-				empty = false
+			if !p.rx[w].idle() {
+				idle = false
 				break
 			}
 		}
-		if empty {
+		if idle {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -526,6 +528,7 @@ func (rt *Runtime) sweep(w int, in *[]sim.Input, results []sim.Result, frames []
 		if n > 0 {
 			worked = true
 			rt.processBurst(w, pm, frames[:n], in, results)
+			p.rx[w].settle()
 		}
 	}
 	// Draining (detached) ports: their backlog is still forwarded — the
@@ -538,6 +541,7 @@ func (rt *Runtime) sweep(w int, in *[]sim.Input, results []sim.Result, frames []
 		if n > 0 {
 			worked = true
 			rt.processBurst(w, pm, frames[:n], in, results)
+			p.rx[w].settle()
 		}
 	}
 	return worked

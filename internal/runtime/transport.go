@@ -135,8 +135,15 @@ func (c *ChanTransport) Recv(f *Frame) error {
 		f.Data = data
 		return nil
 	case <-c.recvClosed:
-		return ErrClosed
 	case <-c.closed:
+	}
+	// select picks at random among ready cases, so a close may win over a
+	// frame that was already buffered; that frame still counts as accepted.
+	select {
+	case data := <-c.rx:
+		f.Data = data
+		return nil
+	default:
 		return ErrClosed
 	}
 }

@@ -7,42 +7,44 @@ import "hyper4/internal/bitfield"
 // changes. A SwitchDump is the unit of the control-plane API's atomicity
 // protocol (internal/core/ctl): a batch checkpoint takes a Dump, a failed
 // batch rolls back with RestoreDump, and the rollback tests diff two Dumps
-// to prove the switch is bit-identical to its pre-batch state.
+// to prove the switch is bit-identical to its pre-batch state. The dump
+// types encode to JSON as they are (no slice is omitempty, so nil and empty
+// survive a round trip), which is how the DPMU's journal snapshots carry them.
 
 // EntryDump is one installed entry as captured by Dump. Params and Args are
 // shared with the live entry (both are immutable after install).
 type EntryDump struct {
-	Handle   int
-	Params   []MatchParam
-	Action   string
-	Args     []bitfield.Value
-	Priority int
-	Hits     int64
+	Handle   int              `json:"handle"`
+	Params   []MatchParam     `json:"params"`
+	Action   string           `json:"action"`
+	Args     []bitfield.Value `json:"args"`
+	Priority int              `json:"priority,omitempty"`
+	Hits     int64            `json:"hits,omitempty"`
 }
 
 // TableDump is one table's control-plane state.
 type TableDump struct {
 	// Entries are in match-precedence order, as the table stores them.
-	Entries       []EntryDump
-	NextHandle    int
-	DefaultAction string
-	DefaultArgs   []bitfield.Value
+	Entries       []EntryDump      `json:"entries"`
+	NextHandle    int              `json:"next_handle"`
+	DefaultAction string           `json:"default_action,omitempty"`
+	DefaultArgs   []bitfield.Value `json:"default_args"`
 }
 
 // MeterRates is the configured thresholds of one meter cell (usage within
 // the current window is traffic state and is not captured).
 type MeterRates struct {
-	YellowAt uint64
-	RedAt    uint64
+	YellowAt uint64 `json:"yellow_at"`
+	RedAt    uint64 `json:"red_at"`
 }
 
 // SwitchDump is the full control-plane state of a switch: every table's
 // entries and default action, the clone-session mirror map, and meter
 // thresholds. Registers and counters are traffic state and are excluded.
 type SwitchDump struct {
-	Tables  map[string]TableDump
-	Mirrors map[int]int
-	Meters  map[string][]MeterRates
+	Tables  map[string]TableDump    `json:"tables"`
+	Mirrors map[int]int             `json:"mirrors"`
+	Meters  map[string][]MeterRates `json:"meters"`
 }
 
 // Dump captures the switch's control-plane state. The result is safe to hold
